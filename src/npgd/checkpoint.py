@@ -18,6 +18,7 @@ learnable step size), so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -130,6 +131,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.origin}: name or string is not UTF-8") from None
+
 
 def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
     if blob[:4] != MAGIC:
@@ -149,7 +156,7 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
     meta = {}
     for _ in range(n_entries):
         klen, = r.unpack("<H")
-        key = r.take(klen).decode("utf-8")
+        key = r.text(klen)
         tag, = r.unpack("<B")
         if tag == _TAG_INT:
             meta[key], = r.unpack("<q")
@@ -157,7 +164,7 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
             meta[key], = r.unpack("<f")
         elif tag == _TAG_STR:
             vlen, = r.unpack("<H")
-            meta[key] = r.take(vlen).decode("utf-8")
+            meta[key] = r.text(vlen)
         else:
             raise FormatError(f"{origin}: unknown entry tag {tag}")
 
@@ -168,10 +175,10 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
     adam_v: Dict[str, np.ndarray] = {}
     for _ in range(n_records):
         nlen, = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        name = r.text(nlen)
         rank, = r.unpack("<B")
         dims = tuple(r.unpack("<I")[0] for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact: np.prod of huge dims wraps around
         data = np.frombuffer(r.take(4 * count), "<f4").reshape(dims).copy()
         if name.startswith("adam.m."):
             adam_m[name[len("adam.m."):]] = data

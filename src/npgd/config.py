@@ -7,10 +7,13 @@ starts. The documented key list lives in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .baselines import CsConfig
+from .errors import ConfigError, ParameterError
+from .proxnet import ProximalConfig
+from .unroll import TrainConfig, UnrollConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -77,7 +80,32 @@ class ExperimentConfig:
         # spectral step 4 replaces the measured component in one go
         return 1.0 if self.task == "mri" else 4.0
 
+    def prox_config(self) -> ProximalConfig:
+        return ProximalConfig(arch=self.arch, num_res_blocks=self.num_res_blocks,
+                              feature_maps=self.feature_maps,
+                              chain_layers=self.chain_layers,
+                              chain_kernel=self.chain_kernel,
+                              activation=self.activation,
+                              normalization=self.normalization)
+
+    def unroll_config(self) -> UnrollConfig:
+        return UnrollConfig(iterations=self.unroll_t,
+                            alpha_init=self.resolved_alpha_init(),
+                            beta=self.beta, loss=self.loss)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(lr=self.lr, lr_halve_every=self.lr_halve_every,
+                           batch_size=self.batch_size, epochs=self.epochs,
+                           seed=self.train_seed)
+
+    def cs_config(self) -> CsConfig:
+        """The solver settings; lam is a placeholder when cs_lambda is unset
+        and gets tuned."""
+        return CsConfig(lam=self.cs_lambda or 1.0, iterations=self.cs_iterations,
+                        solver=self.cs_solver, levels=self.cs_levels)
+
     def validate(self) -> None:
+        """Range checks that no sub-config owns, then each sub-config's own."""
         if self.task not in ("mri", "sr"):
             raise ConfigError(f"task must be mri or sr, got {self.task!r}")
         n = self.image_size
@@ -99,20 +127,10 @@ class ExperimentConfig:
                 raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
             if not (0.0 <= self.mask_center_fraction < self.mask_rate):
                 raise ConfigError("mask_center_fraction must satisfy 0 <= cf < rate")
-        if self.unroll_t < 1:
-            raise ConfigError("unroll_t must be >= 1")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.loss not in ("l2", "l1"):
-            raise ConfigError(f"loss must be l2 or l1, got {self.loss!r}")
-        if self.alpha_init is not None and self.alpha_init <= 0:
-            raise ConfigError("alpha_init must be positive")
-        for key in ("lr", "lr_halve_every", "batch_size", "epochs",
-                    "cs_iterations", "cs_levels", "cs_grid_points", "cs_val_images"):
+        for key in ("cs_grid_points", "cs_val_images"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if self.cs_solver not in ("ista", "fista"):
-            raise ConfigError(f"cs_solver must be ista or fista, got {self.cs_solver!r}")
+        # CsConfig accepts lam = 0; an explicit cs_lambda must be positive
         if self.cs_lambda is not None and self.cs_lambda <= 0:
             raise ConfigError("cs_lambda must be positive")
         if not (0 < self.cs_grid_lo <= self.cs_grid_hi):
@@ -120,27 +138,27 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         parse_sweep_grid(self.sweep_grid)
-        # architecture keys get their final check from ProximalConfig
-        from .proxnet import ProximalConfig
-        ProximalConfig(arch=self.arch, num_res_blocks=self.num_res_blocks,
-                       feature_maps=self.feature_maps, chain_layers=self.chain_layers,
-                       chain_kernel=self.chain_kernel, activation=self.activation,
-                       normalization=self.normalization).validate()
+        try:
+            for sub in (self.prox_config(), self.unroll_config(), self.train_config(),
+                        self.cs_config()):
+                sub.validate()
+        except ParameterError as exc:
+            raise ConfigError(f"{type(sub).__name__}: {exc}") from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_OPTIONAL_FLOATS = {"alpha_init", "cs_lambda"}
-_OPTIONAL_STRS = {"data_dir", "checkpoint_path"}
-_BOOLS = {"phantom_phase"}
-_INTS = {"image_size", "data_num", "data_seed", "phantom_min_ellipses",
-         "phantom_max_ellipses", "holdout", "mask_seed", "unroll_t",
-         "lr_halve_every", "batch_size", "epochs", "train_seed",
-         "num_res_blocks", "feature_maps", "chain_layers", "chain_kernel",
-         "cs_iterations", "cs_levels", "cs_grid_points", "cs_val_images",
-         "threads"}
-_FLOATS = {"phantom_intensity_min", "phantom_intensity_max", "noise_std",
-           "mask_rate", "mask_center_fraction", "mask_decay", "beta", "lr",
-           "cs_grid_lo", "cs_grid_hi"}
+def _value_parser(annotation) -> Callable[[str], object]:
+    """Parser for one annotated field; Optional[X] parses as X."""
+    args = [a for a in get_args(annotation) if a is not type(None)]
+    if get_origin(annotation) is Union and len(args) == 1:
+        annotation = args[0]
+    parsers = {bool: _parse_bool, int: int, float: float, str: str}
+    if annotation not in parsers:
+        raise TypeError(f"no config parser for annotation {annotation!r}")
+    return parsers[annotation]
+
+
+_PARSERS = {name: _value_parser(tp)
+            for name, tp in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -152,19 +170,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _PARSERS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         try:
-            if key in _BOOLS:
-                values[key] = _parse_bool(raw)
-            elif key in _INTS:
-                values[key] = int(raw)
-            elif key in _FLOATS or key in _OPTIONAL_FLOATS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            values[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value {raw!r} for {key!r}") from None
     cfg = ExperimentConfig(**values)

@@ -33,7 +33,7 @@ from .core import ComplexImage, norm
 from .errors import ContractError, UndefinedRatioError, UnsupportedConfigError
 from .operators import LinearOperator, gradient_step
 from .proxnet import MaskSnapshot, ProximalNet, capture_masks
-from .unroll import unrolled_forward
+from .unroll import unrolled_forward, write_csv
 
 
 def _channels(x) -> np.ndarray:
@@ -73,38 +73,9 @@ class FrozenAffineMap:
         return self(v) - self.at_zero()
 
 
-def frozen_apply(net: ProximalNet, snapshot: MaskSnapshot, u) -> np.ndarray:
-    """Forward pass with every gate replaced by its recorded mask."""
-    return FrozenAffineMap(net, snapshot)(u)
-
-
 def _preconditioned(op: LinearOperator, alpha: float, delta2: np.ndarray) -> np.ndarray:
     """(I - alpha * adjoint(apply(.))) applied to a plane stack."""
     return delta2 - np.float32(alpha) * op.normal_channels(delta2)
-
-
-def eta1(net: ProximalNet, masks_star: MaskSnapshot, op: LinearOperator,
-         alpha: float, delta) -> float:
-    """Contraction ratio of the frozen map at the realized perturbation."""
-    d2 = _channels(delta)
-    nd = norm(d2)
-    if nd == 0.0:
-        raise UndefinedRatioError("eta1 undefined for a zero perturbation")
-    w = _preconditioned(op, alpha, d2)
-    return norm(FrozenAffineMap(net, masks_star).linear(w)) / nd
-
-
-def eta2(net: ProximalNet, masks_star: MaskSnapshot, masks_t: MaskSnapshot,
-         op: LinearOperator, alpha: float, delta, x_star) -> float:
-    """Perturbation-map ratio at the realized perturbation."""
-    d2 = _channels(delta)
-    nd = norm(d2)
-    if nd == 0.0:
-        raise UndefinedRatioError("eta2 undefined for a zero perturbation")
-    u = _channels(x_star) + _preconditioned(op, alpha, d2)
-    m_star = FrozenAffineMap(net, masks_star)
-    m_t = FrozenAffineMap(net, masks_t)
-    return norm(m_t(u) - m_star(u)) / nd
 
 
 def xi_vector(net: ProximalNet, x_star) -> np.ndarray:
@@ -113,40 +84,11 @@ def xi_vector(net: ProximalNet, x_star) -> np.ndarray:
     return net.forward(x2).value - x2
 
 
-def xi_norm(net: ProximalNet, x_star) -> float:
-    return norm(xi_vector(net, x_star))
-
-
 def _require_noiseless(op: LinearOperator, x_star: ComplexImage,
                        y: ComplexImage) -> None:
     ref = max(norm(y), 1e-12)
     if norm(y - op.apply(x_star)) > 1e-4 * ref:
         raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
-
-
-def decomposition_check(net: ProximalNet, op: LinearOperator, alpha: float,
-                        x_t: ComplexImage, x_star: ComplexImage,
-                        y: ComplexImage) -> float:
-    """|| (x_{t+1} - x_*) - (three decomposition terms + xi) ||.
-
-    Exact in exact arithmetic; anything beyond float roundoff means the
-    frozen maps and the live recursion disagree.
-    """
-    _require_noiseless(op, x_star, y)
-    s_next = gradient_step(x_t, y, alpha, op)
-    x_next = net.forward(s_next.to_channels()).value
-    masks_t = capture_masks(net, s_next)
-    masks_star = capture_masks(net, x_star)
-    m_t = FrozenAffineMap(net, masks_t)
-    m_star = FrozenAffineMap(net, masks_star)
-    x2, s2 = x_star.to_channels(), x_t.to_channels()
-    w = _preconditioned(op, alpha, s2 - x2)
-    term_frozen = m_star.linear(w)
-    term_perturb_lin = m_t.linear(w) - term_frozen
-    term_perturb_const = m_t(x2) - m_star(x2)
-    xi = m_star(x2) - x2  # == forward(x*) - x* since masks_star was captured at x*
-    rhs = term_frozen + term_perturb_lin + term_perturb_const + xi
-    return norm((x_next - x2) - rhs)
 
 
 def bound_slack(eta1_t: float, eta2_t: float, delta_norm: float,
@@ -169,10 +111,47 @@ class TraceRow:
     err_next: float
 
 
+TRACE_COLUMNS = ("t", "nrmse", "eta1", "eta2", "xi_norm", "decomp_residual",
+                 "bound_slack")
+
+
+def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
+                     xi: np.ndarray, op: LinearOperator, alpha: float,
+                     x_star, x_t, x_next) -> TraceRow:
+    """eta1, eta2, decomposition residual and bound slack of one transition
+    x_t -> s_{t+1} = g(x_t; y) -> x_{t+1} = M(s_{t+1}).
+
+    m_star is the proximal frozen at the truth x_*, m_t the proximal frozen
+    at s_{t+1}, and xi = forward(x_*) - x_*. The residual is exact only for
+    noiseless y = apply(x_*). Raises UndefinedRatioError when x_t = x_*;
+    the NRMSE against a zero truth is inf.
+    """
+    x2, x_next = _channels(x_star), _channels(x_next)
+    delta = _channels(x_t) - x2
+    dn = norm(delta)
+    if dn == 0.0:
+        raise UndefinedRatioError("eta1/eta2 undefined for a zero perturbation")
+    err_next = norm(x_next - x2)
+    w = _preconditioned(op, alpha, delta)
+    term_frozen = m_star.linear(w)
+    u = x2 + w
+    perturb = m_t(u) - m_star(u)
+    e1, e2, xi_n = norm(term_frozen) / dn, norm(perturb) / dn, norm(xi)
+    resid = norm((x_next - x2) - (term_frozen + perturb + xi))
+    ref = norm(x2)
+    return TraceRow(t, dn / ref if ref > 0.0 else float("inf"), e1, e2, xi_n, resid,
+                    bound_slack(e1, e2, dn, xi_n, err_next), dn, err_next)
+
+
 @dataclass
 class ContractionTrace:
+    """One sample's rows, plus x_T and the gate masks at g(x_T; y) that the
+    last transition froze (the linearization point for de-biasing)."""
+
     sample: int
     rows: List[TraceRow]
+    x_final: np.ndarray
+    masks_final: MaskSnapshot
 
 
 @dataclass
@@ -225,46 +204,29 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
         _require_noiseless(op, x_star, y)
         traj = unrolled_forward(net, op, y, iterations, alpha)
         x2 = x_star.to_channels()
-        ref = norm(x2)
-        masks_star = capture_masks(net, x2)
-        m_star = FrozenAffineMap(net, masks_star)
-        xi_vec = net.forward(x2).value - x2
-        xi = norm(xi_vec)
-        m_star_at_truth = m_star(x2)
-
-        xs = list(traj.x)
-        s_extra = gradient_step(ComplexImage.from_channels(xs[-1]), y, alpha, op)
-        xs.append(net.forward(s_extra.to_channels()).value)
-        s_states = list(traj.s[1:]) + [s_extra.to_channels()]
+        m_star = FrozenAffineMap(net, capture_masks(net, x2))
+        xi_vec = xi_vector(net, x2)
+        s_extra = gradient_step(ComplexImage.from_channels(traj.final), y, alpha,
+                                op).to_channels()
+        xs = traj.x + [net.forward(s_extra).value]
+        s_states = traj.s[1:] + [s_extra]
 
         rows = []
         for t in range(1, iterations + 1):
-            x_t = xs[t - 1]
             x_next = xs[t]
-            delta = x_t - x2
-            dn = norm(delta)
-            err_next = norm(x_next - x2)
-            if dn == 0.0:
+            masks_t = capture_masks(net, s_states[t - 1])
+            try:
+                rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t),
+                                             xi_vec, op, alpha, x2, xs[t - 1], x_next))
+            except UndefinedRatioError:
                 # already exactly at the truth: ratios are undefined; record
                 # zeros so the trace stays finite
+                xi, err_next = norm(xi_vec), norm(x_next - x2)
                 rows.append(TraceRow(t, 0.0, 0.0, 0.0, xi,
                                      norm((x_next - x2) - xi_vec),
                                      bound_slack(0.0, 0.0, 0.0, xi, err_next),
                                      0.0, err_next))
-                continue
-            w = _preconditioned(op, alpha, delta)
-            masks_t = capture_masks(net, s_states[t - 1])
-            m_t = FrozenAffineMap(net, masks_t)
-            term_frozen = m_star.linear(w)
-            e1 = norm(term_frozen) / dn
-            u = x2 + w
-            perturb = m_t(u) - m_star(u)
-            e2 = norm(perturb) / dn
-            rhs = term_frozen + perturb + xi_vec
-            resid = norm((x_next - x2) - rhs)
-            slack = bound_slack(e1, e2, dn, xi, err_next)
-            rows.append(TraceRow(t, dn / ref, e1, e2, xi, resid, slack, dn, err_next))
-        traces.append(ContractionTrace(idx, rows))
+        traces.append(ContractionTrace(idx, rows, traj.final, masks_t))
 
     aggregate = []
     for t in range(1, iterations + 1):
@@ -278,15 +240,9 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for tr in traces:
-            path = os.path.join(out_dir, f"trace_{tr.sample:04d}.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write("t,nrmse,eta1,eta2,xi_norm,decomp_residual,bound_slack\n")
-                for r in tr.rows:
-                    fh.write(f"{r.t},{r.nrmse:.9g},{r.eta1:.9g},{r.eta2:.9g},"
-                             f"{r.xi_norm:.9g},{r.decomp_residual:.9g},"
-                             f"{r.bound_slack:.9g}\n")
-        with open(os.path.join(out_dir, "aggregate.csv"), "w", newline="") as fh:
-            fh.write("t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std\n")
-            for row in aggregate:
-                fh.write(f"{row[0]}," + ",".join(f"{v:.9g}" for v in row[1:]) + "\n")
+            write_csv(os.path.join(out_dir, f"trace_{tr.sample:04d}.csv"), TRACE_COLUMNS,
+                      [[getattr(r, c) for c in TRACE_COLUMNS] for r in tr.rows])
+        write_csv(os.path.join(out_dir, "aggregate.csv"),
+                  ("t", "nrmse_mean", "nrmse_std", "eta1_mean", "eta1_std",
+                   "eta2_mean", "eta2_std"), aggregate)
     return traces, aggregate

@@ -7,26 +7,23 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .baselines import CsConfig, default_lambda_grid, fista, ista, tune_lambda
+from .baselines import default_lambda_grid, fista, ista, tune_lambda
 from .config import ExperimentConfig, parse_sweep_grid
 from .contraction import analyze_trajectory, debias
 from .core import ComplexImage, norm
 from .errors import ConfigError, ParameterError
 from .metrics import nrmse, snr_db, ssim
-from .operators import (BoxDownsampleOperator, LinearOperator,
-                        MaskedFourierOperator, gradient_step)
+from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
 from .pgm import read_pgm, write_pgm16
 from .phantoms import PhantomSpec, generate_dataset
-from .proxnet import ProximalConfig, capture_masks
 from .sampling import generate_vardens_mask, save_mask_bits, save_mask_pgm
-from .unroll import (TrainConfig, UnrollConfig, reconstruct, train,
-                     unrolled_forward, write_trace_csv)
+from .unroll import reconstruct, train, write_csv, write_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +106,20 @@ def simulate_measurements(images: Sequence[ComplexImage], op: LinearOperator,
     return ys
 
 
-def prox_config(cfg: ExperimentConfig) -> ProximalConfig:
-    return ProximalConfig(arch=cfg.arch, num_res_blocks=cfg.num_res_blocks,
-                          feature_maps=cfg.feature_maps, chain_layers=cfg.chain_layers,
-                          chain_kernel=cfg.chain_kernel, activation=cfg.activation,
-                          normalization=cfg.normalization)
+def _setup(cfg: ExperimentConfig):
+    """The (train, test) split and the operator every command starts from."""
+    train_set, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
+    op, _ = build_operator(cfg)
+    return train_set, test_set, op
 
 
-def unroll_config(cfg: ExperimentConfig) -> UnrollConfig:
-    return UnrollConfig(iterations=cfg.unroll_t, alpha_init=cfg.resolved_alpha_init(),
-                        beta=cfg.beta, loss=cfg.loss)
-
-
-def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(lr=cfg.lr, lr_halve_every=cfg.lr_halve_every,
-                       batch_size=cfg.batch_size, epochs=cfg.epochs,
-                       seed=cfg.train_seed)
+def _measure(cfg: ExperimentConfig, op: LinearOperator,
+             images: Sequence[ComplexImage],
+             noise_std: Optional[float] = None) -> List[ComplexImage]:
+    """Simulated measurements of images, with the config's noise unless
+    noise_std says otherwise."""
+    std = cfg.noise_std if noise_std is None else noise_std
+    return simulate_measurements(images, op, std, cfg.data_seed)
 
 
 def _pmap(fn, items, threads: int):
@@ -149,19 +144,38 @@ class EvalRow:
     nrmse: float
 
 
-def evaluate_model(net, alpha: float, op: LinearOperator, iterations: int,
-                   pairs: Sequence[Tuple[ComplexImage, ComplexImage]]) -> List[EvalRow]:
-    rows = []
-    for i, (x_true, y) in enumerate(pairs):
-        xhat, _ = reconstruct(net, alpha, op, y, iterations)
+EVAL_HEADER = ("index", "snr_zf_db", "snr_db", "ssim", "nrmse")
+
+
+def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[ComplexImage, ComplexImage]],
+              solve, threads: int = 1):
+    """Run solve(y) -> (estimate, extra) on every measurement and score each
+    estimate, next to the zero-filled adjoint(y), against its truth.
+
+    Returns the rows, the solver outputs and the zero-filled images.
+    """
+    solved = _pmap(lambda pair: solve(pair[1]), pairs, threads)
+    rows, zero_filled = [], []
+    for i, ((x_true, y), (xhat, _)) in enumerate(zip(pairs, solved)):
         zf = op.adjoint(y)
+        zero_filled.append(zf)
         rows.append(EvalRow(i, snr_db(zf, x_true), snr_db(xhat, x_true),
                             ssim(xhat, x_true), nrmse(xhat, x_true)))
-    return rows
+    return rows, solved, zero_filled
+
+
+def evaluate_model(net, alpha: float, op: LinearOperator, iterations: int,
+                   pairs: Sequence[Tuple[ComplexImage, ComplexImage]]) -> List[EvalRow]:
+    return _evaluate(op, pairs, lambda y: reconstruct(net, alpha, op, y, iterations))[0]
 
 
 def mean_snr(rows: Sequence[EvalRow]) -> float:
     return float(np.mean([r.snr for r in rows]))
+
+
+def _write_eval_csv(path: str, rows: Sequence[EvalRow]) -> str:
+    write_csv(path, EVAL_HEADER, [astuple(r) for r in rows])
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +186,7 @@ def run_genmask(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.task != "mri":
         raise ConfigError("genmask requires task = mri")
     os.makedirs(out_dir, exist_ok=True)
-    mask = generate_vardens_mask(cfg.image_size, cfg.image_size, cfg.mask_rate,
-                                 cfg.mask_center_fraction, cfg.mask_decay,
-                                 cfg.mask_seed)
+    _, mask = build_operator(cfg)
     pgm = os.path.join(out_dir, "mask.pgm")
     bits = os.path.join(out_dir, "mask.bits")
     save_mask_pgm(mask, pgm)
@@ -193,13 +205,12 @@ def run_gendata(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def run_train(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    images = build_dataset(cfg)
-    train_set, _ = split_dataset(images, cfg.holdout)
-    op, _ = build_operator(cfg)
-    ys = simulate_measurements(train_set, op, cfg.noise_std, cfg.data_seed)
-    result = train(train_set, lambda i: op, unroll_config(cfg), train_config(cfg),
-                   prox_config(cfg), measurements=ys, log=log)
-    ckpt = result.to_checkpoint(unroll_config(cfg), cfg.train_seed)
+    train_set, _, op = _setup(cfg)
+    unroll_cfg = cfg.unroll_config()
+    result = train(train_set, lambda i: op, unroll_cfg, cfg.train_config(),
+                   cfg.prox_config(), measurements=_measure(cfg, op, train_set),
+                   log=log)
+    ckpt = result.to_checkpoint(unroll_cfg, cfg.train_seed)
     ckpt_path = os.path.join(out_dir, "checkpoint.npgd")
     ckpt_io.save(ckpt, ckpt_path)
     trace_path = os.path.join(out_dir, "loss_trace.csv")
@@ -220,28 +231,17 @@ def _load_checkpoint(cfg: ExperimentConfig):
 def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
-    images = build_dataset(cfg)
-    _, test_set = split_dataset(images, cfg.holdout)
-    op, _ = build_operator(cfg)
+    _, test_set, op = _setup(cfg)
     if op.in_shape != (cfg.image_size, cfg.image_size):
         raise ConfigError("image_size does not match the operator")
-    ys = simulate_measurements(test_set, op, cfg.noise_std, cfg.data_seed)
-    recons = _pmap(lambda y: reconstruct(net, alpha, op, y, ck.unroll_t)[0],
-                   ys, cfg.threads)
-    rows = []
-    for i, (x_true, y) in enumerate(zip(test_set, ys)):
-        xhat = recons[i]
-        zf = op.adjoint(y)
+    pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    rows, solved, zero_filled = _evaluate(
+        op, pairs, lambda y: reconstruct(net, alpha, op, y, ck.unroll_t), cfg.threads)
+    for i, ((x_true, _), (xhat, _), zf) in enumerate(zip(pairs, solved, zero_filled)):
         write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), xhat.magnitude())
         write_pgm16(os.path.join(out_dir, f"zf_{i:04d}.pgm"), zf.magnitude())
         write_pgm16(os.path.join(out_dir, f"truth_{i:04d}.pgm"), x_true.magnitude())
-        rows.append(EvalRow(i, snr_db(zf, x_true), snr_db(xhat, x_true),
-                            ssim(xhat, x_true), nrmse(xhat, x_true)))
-    path = os.path.join(out_dir, "metrics.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("index,snr_zf_db,snr_db,ssim,nrmse\n")
-        for r in rows:
-            fh.write(f"{r.index},{r.snr_zf:.9g},{r.snr:.9g},{r.ssim:.9g},{r.nrmse:.9g}\n")
+    path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return {"metrics": path, "rows": rows,
             "mean_snr": mean_snr(rows),
             "mean_snr_zf": float(np.mean([r.snr_zf for r in rows]))}
@@ -249,16 +249,13 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    images = build_dataset(cfg)
-    train_set, test_set = split_dataset(images, cfg.holdout)
-    op, _ = build_operator(cfg)
-    ys_test = simulate_measurements(test_set, op, cfg.noise_std, cfg.data_seed)
-    cs = CsConfig(lam=cfg.cs_lambda or 1.0, iterations=cfg.cs_iterations,
-                  solver=cfg.cs_solver, levels=cfg.cs_levels)
+    train_set, test_set, op = _setup(cfg)
+    pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    cs = cfg.cs_config()
     table = []
     if cfg.cs_lambda is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
-        ys_val = simulate_measurements(val, op, cfg.noise_std, cfg.data_seed)
+        ys_val = _measure(cfg, op, val)
         grid = default_lambda_grid(ys_val, op, cfg.cs_levels,
                                    points=cfg.cs_grid_points,
                                    lo=cfg.cs_grid_lo, hi=cfg.cs_grid_hi)
@@ -267,22 +264,11 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
         if log is not None:
             log(f"tuned lambda = {best:.6g}")
     solve = fista if cs.solver == "fista" else ista
-    solved = _pmap(lambda y: solve(y, op, cs), ys_test, cfg.threads)
-    rows = []
-    for i, (x_true, y) in enumerate(zip(test_set, ys_test)):
-        xhat, trace = solved[i]
-        with open(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"), "w", newline="") as fh:
-            fh.write("iter,objective,data_term,l1_term\n")
-            for it, obj, data, l1 in trace:
-                fh.write(f"{it},{obj:.9g},{data:.9g},{l1:.9g}\n")
-        zf = op.adjoint(y)
-        rows.append(EvalRow(i, snr_db(zf, x_true), snr_db(xhat, x_true),
-                            ssim(xhat, x_true), nrmse(xhat, x_true)))
-    path = os.path.join(out_dir, "cs_metrics.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("index,snr_zf_db,snr_db,ssim,nrmse\n")
-        for r in rows:
-            fh.write(f"{r.index},{r.snr_zf:.9g},{r.snr:.9g},{r.ssim:.9g},{r.nrmse:.9g}\n")
+    rows, solved, _ = _evaluate(op, pairs, lambda y: solve(y, op, cs), cfg.threads)
+    for i, (_, trace) in enumerate(solved):
+        write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
+                  ("iter", "objective", "data_term", "l1_term"), trace)
+    path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)
     return {"lambda": cs.lam, "grid_table": table, "metrics": path,
             "rows": rows, "mean_snr": mean_snr(rows)}
 
@@ -290,28 +276,22 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
 def run_analyze(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
-    images = build_dataset(cfg)
-    _, test_set = split_dataset(images, cfg.holdout)
-    op, _ = build_operator(cfg)
-    ys = simulate_measurements(test_set, op, 0.0, cfg.data_seed)
-    pairs = list(zip(test_set, ys))
+    _, test_set, op = _setup(cfg)
+    pairs = list(zip(test_set, _measure(cfg, op, test_set, noise_std=0.0)))
     traces, aggregate = analyze_trajectory(net, alpha, op, pairs, ck.unroll_t,
                                            out_dir=out_dir)
     debias_rows = []
-    for i, (x_true, y) in enumerate(pairs):
-        traj = unrolled_forward(net, op, y, ck.unroll_t, alpha)
-        x_t = ComplexImage.from_channels(traj.final)
+    for tr, (_, y) in zip(traces, pairs):
+        x_t = ComplexImage.from_channels(tr.x_final)
         # linearize where the frozen map is actually applied: the final
         # proximal input g(x_T; y)
-        masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
-        res = debias(net, masks, op, alpha, y, x_t)
-        debias_rows.append((i, int(res.converged), int(res.diverged), res.iterations,
-                            norm(y - op.apply(x_t)), norm(y - op.apply(res.x))))
-    path = os.path.join(out_dir, "debias.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("index,converged,diverged,iterations,residual_xT,residual_debiased\n")
-        for row in debias_rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]:.9g},{row[5]:.9g}\n")
+        res = debias(net, tr.masks_final, op, alpha, y, x_t)
+        debias_rows.append((tr.sample, int(res.converged), int(res.diverged),
+                            res.iterations, norm(y - op.apply(x_t)),
+                            norm(y - op.apply(res.x))))
+    write_csv(os.path.join(out_dir, "debias.csv"),
+              ("index", "converged", "diverged", "iterations", "residual_xT",
+               "residual_debiased"), debias_rows)
     return {"traces": traces, "aggregate": aggregate, "debias": debias_rows,
             "out_dir": out_dir}
 
@@ -319,24 +299,18 @@ def run_analyze(cfg: ExperimentConfig, out_dir: str) -> dict:
 def run_sweep(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     cells = parse_sweep_grid(cfg.sweep_grid)
-    images = build_dataset(cfg)
-    train_set, test_set = split_dataset(images, cfg.holdout)
-    op, _ = build_operator(cfg)
-    ys_train = simulate_measurements(train_set, op, cfg.noise_std, cfg.data_seed)
-    ys_test = simulate_measurements(test_set, op, cfg.noise_std, cfg.data_seed)
+    train_set, test_set, op = _setup(cfg)
+    ys_train = _measure(cfg, op, train_set)
+    test_pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    prox_cfg, unroll_cfg = cfg.prox_config(), cfg.unroll_config()
     rows = []
     for t, rb in cells:
-        pc = ProximalConfig(arch=cfg.arch, num_res_blocks=rb,
-                            feature_maps=cfg.feature_maps, chain_layers=cfg.chain_layers,
-                            chain_kernel=cfg.chain_kernel, activation=cfg.activation,
-                            normalization=cfg.normalization)
-        uc = UnrollConfig(iterations=t, alpha_init=cfg.resolved_alpha_init(),
-                          beta=cfg.beta, loss=cfg.loss)
-        result = train(train_set, lambda i: op, uc, train_config(cfg), pc,
+        result = train(train_set, lambda i: op, replace(unroll_cfg, iterations=t),
+                       cfg.train_config(), replace(prox_cfg, num_res_blocks=rb),
                        measurements=ys_train, log=log)
         t0 = time.perf_counter()
         eval_rows = evaluate_model(result.net, float(result.alpha.value), op, t,
-                                   list(zip(test_set, ys_test)))
+                                   test_pairs)
         infer_seconds = (time.perf_counter() - t0) / max(len(test_set), 1)
         rows.append((t, rb, result.seconds, infer_seconds,
                      mean_snr(eval_rows),
@@ -344,9 +318,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
         if log is not None:
             log(f"cell T={t} RB={rb}: snr={rows[-1][4]:.2f} dB")
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("T,RBs,train_seconds,infer_seconds_per_image,snr_mean,ssim_mean\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]:.9g},{row[3]:.9g},"
-                     f"{row[4]:.9g},{row[5]:.9g}\n")
+    write_csv(path, ("T", "RBs", "train_seconds", "infer_seconds_per_image",
+                     "snr_mean", "ssim_mean"), rows)
     return {"sweep": path, "rows": rows}

@@ -35,7 +35,7 @@ def write_pgm16(path, plane: np.ndarray, vmin=None, vmax=None) -> None:
         fh.write(q.tobytes())
 
 
-def _tokenize_header(blob: bytes):
+def _tokenize_header(blob: bytes, path):
     """Yield (token, end_offset) for the three header fields after the magic,
     skipping comments; remember any range comment seen."""
     pos = 2  # past magic
@@ -43,17 +43,20 @@ def _tokenize_header(blob: bytes):
     rng = None
     while len(tokens) < 3:
         if pos >= len(blob):
-            raise CorruptionError("truncated PGM header")
+            raise CorruptionError(f"{path}: truncated PGM header")
         ch = blob[pos:pos + 1]
         if ch in b" \t\r\n":
             pos += 1
         elif ch == b"#":
             eol = blob.find(b"\n", pos)
             if eol < 0:
-                raise CorruptionError("unterminated PGM comment")
+                raise CorruptionError(f"{path}: unterminated PGM comment")
             m = re.match(rb"#\s*range\s+(\S+)\s+(\S+)", blob[pos:eol])
             if m:
-                rng = (float(m.group(1)), float(m.group(2)))
+                try:
+                    rng = (float(m.group(1)), float(m.group(2)))
+                except ValueError:
+                    raise FormatError(f"{path}: malformed PGM range comment") from None
             pos = eol + 1
         else:
             end = pos
@@ -72,7 +75,7 @@ def read_pgm(path) -> np.ndarray:
     magic = blob[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"{path}: not a PGM file")
-    tokens, data_start, rng = _tokenize_header(blob)
+    tokens, data_start, rng = _tokenize_header(blob, path)
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -80,7 +83,10 @@ def read_pgm(path) -> np.ndarray:
     if maxval <= 0 or maxval > 65535:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
     if magic == b"P2":
-        values = np.array(blob[data_start - 1:].split(), dtype=np.float64)
+        try:
+            values = np.array(blob[data_start - 1:].split(), dtype=np.float64)
+        except ValueError:
+            raise CorruptionError(f"{path}: non-numeric P2 sample") from None
         if values.size != w * h:
             raise CorruptionError(f"{path}: expected {w * h} samples, got {values.size}")
         raw = values.reshape(h, w)

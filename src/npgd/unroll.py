@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -260,9 +260,11 @@ def train(dataset: Sequence[ComplexImage],
     return result
 
 
-def write_trace_csv(rows: Sequence[tuple], path) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Comma-separated table: integers as written by str, every other
+    value as a float with 9 significant digits."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -271,6 +273,10 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.9g}"
+
+
+def write_trace_csv(rows: Sequence[tuple], path) -> None:
+    write_csv(path, TRACE_HEADER, rows)
 
 
 def reconstruct(net: ProximalNet, alpha: float, op: LinearOperator,

@@ -1,8 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from npgd.checkpoint import _Writer
 from npgd.cli import main
 from npgd.config import parse_config_text, parse_sweep_grid
 from npgd.errors import ConfigError
@@ -71,6 +73,37 @@ def test_validation_before_compute():
         parse_config_text("task = ct")
     with pytest.raises(ConfigError):
         parse_config_text("mask_rate = 0.2\nmask_center_fraction = 0.3")
+
+
+def test_every_key_parses_to_its_annotated_type():
+    from dataclasses import fields
+    from typing import get_type_hints
+
+    from npgd.config import ExperimentConfig
+    hints = get_type_hints(ExperimentConfig)
+    given = {"alpha_init": ("2", float), "cs_lambda": ("1", float),
+             "data_dir": ("some/dir", str), "checkpoint_path": ("m.npgd", str),
+             "phantom_phase": ("yes", bool)}
+    for f in fields(ExperimentConfig):
+        if f.name in given:
+            text, want = given[f.name]
+        else:
+            want = hints[f.name]
+            # whole-valued float defaults are written without a decimal point
+            text = (str(int(f.default)) if want is float and f.default == int(f.default)
+                    else str(f.default))
+        value = getattr(parse_config_text(f"{f.name} = {text}"), f.name)
+        assert type(value) is want, (f.name, text, value)
+    assert parse_config_text("phantom_phase = off").phantom_phase is False
+
+
+def test_unmappable_annotation_fails_loudly():
+    from typing import List, Optional, Union
+
+    from npgd.config import _value_parser
+    for annotation in (List[int], Optional[list], Union[int, str], bytes):
+        with pytest.raises(TypeError):
+            _value_parser(annotation)
 
 
 def test_comments_and_blanks_ignored():
@@ -310,3 +343,130 @@ def test_data_dir_ingestion(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].shape == (16, 16)
     assert not loaded[0].im.any()
+
+
+TINY_CHAIN = """
+task = sr
+image_size = 16
+data_num = 5
+data_seed = 4
+holdout = 3
+arch = chain
+chain_layers = 2
+chain_kernel = 3
+feature_maps = 4
+activation = swish
+normalization = none
+unroll_t = 3
+alpha_init = 4.0
+beta = 0.25
+lr = 3e-4
+epochs = 2
+batch_size = 2
+"""
+
+
+def test_analyze_writes_traces_and_debias(tmp_path):
+    cfg_path = _write(tmp_path / "c.cfg", TINY_CHAIN)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.npgd"
+    an_cfg = _write(tmp_path / "a.cfg", TINY_CHAIN + f"checkpoint_path = {ckpt}\n")
+    an = tmp_path / "an"
+    assert main(["analyze", "--config", an_cfg, "--out", str(an)]) == 0
+    for i in range(3):
+        header = (an / f"trace_{i:04d}.csv").read_text().splitlines()[0]
+        assert header == "t,nrmse,eta1,eta2,xi_norm,decomp_residual,bound_slack"
+    assert (an / "aggregate.csv").read_text().splitlines()[0] == \
+        "t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std"
+    lines = (an / "debias.csv").read_text().splitlines()
+    assert lines[0] == ("index,converged,diverged,iterations,residual_xT,"
+                        "residual_debiased")
+    assert len(lines) == 1 + 3
+
+    # each row matches de-biasing from a fresh trajectory and fresh masks
+    from npgd import checkpoint
+    from npgd.config import parse_config
+    from npgd.contraction import debias
+    from npgd.core import ComplexImage, norm
+    from npgd.experiment import build_dataset, build_operator, split_dataset
+    from npgd.operators import gradient_step
+    from npgd.proxnet import capture_masks
+    from npgd.unroll import unrolled_forward
+    cfg = parse_config(an_cfg)
+    net, alpha = checkpoint.restore_net(checkpoint.load(ckpt))
+    _, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
+    op, _ = build_operator(cfg)
+    for i, x_true in enumerate(test_set):
+        y = op.apply(x_true)
+        x_t = ComplexImage.from_channels(unrolled_forward(net, op, y, 3, alpha).final)
+        masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
+        res = debias(net, masks, op, alpha, y, x_t)
+        assert lines[1 + i] == (
+            f"{i},{int(res.converged)},{int(res.diverged)},{res.iterations},"
+            f"{norm(y - op.apply(x_t)):.9g},{norm(y - op.apply(res.x)):.9g}")
+
+
+def test_threads_do_not_change_metrics(tmp_path):
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    rec_cfg = _write(tmp_path / "r.cfg",
+                     TINY_MRI + f"checkpoint_path = {out / 'checkpoint.npgd'}\n")
+    for command, name in (("reconstruct", "metrics.csv"), ("baseline", "cs_metrics.csv")):
+        blobs = []
+        for threads in ("1", "2"):
+            run_out = tmp_path / f"{command}-{threads}"
+            assert main([command, "--config", rec_cfg, "--out", str(run_out),
+                         "--threads", threads]) == 0
+            blobs.append((run_out / name).read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in one error line and an exit code, not a traceback
+
+
+def _checkpoint_blob(entries=b"", n_entries=0, name=b"w", dims=(2,)):
+    """A checkpoint with a valid CRC around one hand-built parameter record."""
+    w = _Writer()
+    w.raw(struct.pack("<I", n_entries) + entries)
+    w.raw(struct.pack("<f", 1.0))
+    w.raw(struct.pack("<I", 1))
+    w.raw(struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+          + b"".join(struct.pack("<I", d) for d in dims) + b"\0" * 8)
+    return w.finish()
+
+
+def _bad_key_entry():
+    return struct.pack("<H", 1) + b"\xff" + struct.pack("<Bq", 0, 1)
+
+
+@pytest.mark.parametrize("blob, code", [
+    (_checkpoint_blob(dims=(0xFFFFFFFF,) * 4), 1),          # CorruptionError
+    (_checkpoint_blob(name=b"\xff\xfe"), 2),                # FormatError
+    (_checkpoint_blob(entries=_bad_key_entry(), n_entries=1), 2),
+], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8"])
+def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
+    ckpt = tmp_path / "bad.npgd"
+    ckpt.write_bytes(blob)
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")
+    assert main(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob, code", [
+    (b"P2\n2 1\n255\n1 x\n", 1),                            # CorruptionError
+    (b"P5\n# range a b\n1 1\n255\n\0", 2),                  # FormatError
+], ids=["p2-non-numeric-sample", "range-comment-not-numbers"])
+def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "img.pgm").write_bytes(blob)
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"data_dir = {data}\n")
+    assert main(["gendata", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert "img.pgm" in err and "Traceback" not in err

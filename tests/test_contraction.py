@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from npgd.contraction import (ContractionTrace, FrozenAffineMap, analyze_trajectory,
-                              bound_slack, debias, decomposition_check, eta1, eta2,
-                              frozen_apply, xi_norm, xi_vector)
+                              bound_slack, contraction_step, debias, xi_vector)
 from npgd.core import ComplexImage, ifft2, norm
 from npgd.errors import (ContractError, UndefinedRatioError,
                          UnsupportedConfigError)
 from npgd.operators import BoxDownsampleOperator, MaskedFourierOperator, gradient_step
 from npgd.proxnet import MaskSnapshot, ProximalConfig, build, capture_masks
 from npgd.sampling import generate_vardens_mask
+from npgd.unroll import unrolled_forward
 
 from conftest import (empty_mask, full_mask, make_identity_resnet,
                       nonzero_complex_image, random_complex_image)
@@ -26,6 +26,21 @@ def _rand2(h, w, seed):
     return np.random.default_rng(seed).standard_normal((2, h, w)).astype(np.float32)
 
 
+def _step(net, op, alpha, x_star, x_t, masks_star=None, masks_t=None):
+    """contraction_step on the live transition from x_t under y = apply(x_star);
+    the frozen maps default to the masks captured at x_star and s_{t+1}."""
+    y = op.apply(x_star)
+    s_next = gradient_step(x_t, y, alpha, op)
+    x_next = net.forward(s_next.to_channels()).value
+    if masks_star is None:
+        masks_star = capture_masks(net, x_star)
+    if masks_t is None:
+        masks_t = capture_masks(net, s_next)
+    return contraction_step(1, FrozenAffineMap(net, masks_star),
+                            FrozenAffineMap(net, masks_t), xi_vector(net, x_star),
+                            op, alpha, x_star, x_t, x_next)
+
+
 # ---------------------------------------------------------------------------
 # frozen maps
 
@@ -35,7 +50,7 @@ def test_frozen_apply_matches_forward_at_capture_point():
                 build(ProximalConfig(feature_maps=4, normalization="none"), seed=2)):
         x = _rand2(16, 16, 3)
         out, snap = net.forward_and_masks(x)
-        assert np.array_equal(frozen_apply(net, snap, x), out)
+        assert np.array_equal(FrozenAffineMap(net, snap)(x), out)
 
 
 def test_frozen_rejects_normalization():
@@ -59,7 +74,7 @@ def test_all_ones_mask_is_pure_conv_composition():
     expected = ag.conv2d(ag.conv2d(Variable(u), net.params["layer1.kernel"],
                                    net.params["layer1.bias"]),
                          net.params["layer2.kernel"], net.params["layer2.bias"]).value
-    assert np.array_equal(frozen_apply(net, snap, u), expected)
+    assert np.array_equal(FrozenAffineMap(net, snap)(u), expected)
 
 
 def test_frozen_linear_part_is_linear():
@@ -91,31 +106,27 @@ def test_frozen_linear_part_is_linear():
 def test_eta1_identity_net_full_mask_is_zero():
     net = make_identity_resnet()
     x_star = nonzero_complex_image(16, 16, seed=11)
-    masks = capture_masks(net, x_star)
     op = MaskedFourierOperator(full_mask(16, 16))
     delta = random_complex_image(16, 16, seed=12)
-    assert eta1(net, masks, op, 1.0, delta) == pytest.approx(0.0, abs=1e-5)
+    row = _step(net, op, 1.0, x_star, x_star + delta)
+    assert row.eta1 == pytest.approx(0.0, abs=1e-5)
 
 
 def test_eta1_identity_net_empty_mask_is_one():
     net = make_identity_resnet()
     x_star = nonzero_complex_image(16, 16, seed=13)
-    masks = capture_masks(net, x_star)
     op = MaskedFourierOperator(empty_mask(16, 16))
     delta = random_complex_image(16, 16, seed=14)
-    assert eta1(net, masks, op, 0.7, delta) == pytest.approx(1.0, abs=1e-5)
+    row = _step(net, op, 0.7, x_star, x_star + delta)
+    assert row.eta1 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_eta_zero_delta_undefined():
     net = _chain_net(seed=15)
     x_star = random_complex_image(16, 16, seed=16)
-    masks = capture_masks(net, x_star)
     op = BoxDownsampleOperator(16, 16)
-    zero = ComplexImage.zeros(16, 16)
     with pytest.raises(UndefinedRatioError):
-        eta1(net, masks, op, 0.5, zero)
-    with pytest.raises(UndefinedRatioError):
-        eta2(net, masks, masks, op, 0.5, zero, x_star)
+        _step(net, op, 0.5, x_star, x_star)
 
 
 def test_eta2_identical_masks_is_zero():
@@ -124,7 +135,8 @@ def test_eta2_identical_masks_is_zero():
     masks = capture_masks(net, x_star)
     op = BoxDownsampleOperator(16, 16)
     delta = random_complex_image(16, 16, seed=19)
-    assert eta2(net, masks, masks, op, 0.5, delta, x_star) == 0.0
+    row = _step(net, op, 0.5, x_star, x_star + delta, masks_star=masks, masks_t=masks)
+    assert row.eta2 == 0.0
 
 
 def test_eta2_single_layer_matrix_oracle():
@@ -140,7 +152,8 @@ def test_eta2_single_layer_matrix_oracle():
     op = MaskedFourierOperator(empty_mask(h, h))  # (I - a N) = I
     x_star = random_complex_image(h, h, seed=21)
     delta = random_complex_image(h, h, seed=22)
-    got = eta2(net, zeros, ones, op, 1.0, delta, x_star)
+    got = _step(net, op, 1.0, x_star, x_star + delta, masks_star=zeros,
+                masks_t=ones).eta2
     u = x_star.to_channels() + delta.to_channels()
     w_u = np.einsum("oc,chw->ohw", w.astype(np.float64), u.astype(np.float64))
     expected = np.linalg.norm(w_u) / norm(delta)
@@ -150,11 +163,10 @@ def test_eta2_single_layer_matrix_oracle():
 def test_eta1_scale_invariant():
     net = _chain_net(seed=23)
     x_star = random_complex_image(16, 16, seed=24)
-    masks = capture_masks(net, x_star)
     op = BoxDownsampleOperator(16, 16)
     delta = random_complex_image(16, 16, seed=25)
-    a = eta1(net, masks, op, 0.5, delta)
-    b = eta1(net, masks, op, 0.5, delta * 3.7)
+    a = _step(net, op, 0.5, x_star, x_star + delta).eta1
+    b = _step(net, op, 0.5, x_star, x_star + delta * 3.7).eta1
     assert a == pytest.approx(b, rel=1e-4)
 
 
@@ -170,8 +182,8 @@ def test_eta2_scale_invariant_for_biasfree_net():
     m_a = capture_masks(net, random_complex_image(16, 16, seed=27))
     m_b = capture_masks(net, random_complex_image(16, 16, seed=28))
     delta = random_complex_image(16, 16, seed=29)
-    a = eta2(net, m_a, m_b, op, 0.5, delta, x_star)
-    b = eta2(net, m_a, m_b, op, 0.5, delta * 2.9, x_star)
+    a = _step(net, op, 0.5, x_star, delta, masks_star=m_a, masks_t=m_b).eta2
+    b = _step(net, op, 0.5, x_star, delta * 2.9, masks_star=m_a, masks_t=m_b).eta2
     assert a == pytest.approx(b, rel=1e-4)
 
 
@@ -182,7 +194,7 @@ def test_eta2_scale_invariant_for_biasfree_net():
 def test_xi_identity_net_is_zero():
     net = make_identity_resnet()
     x_star = nonzero_complex_image(16, 16, seed=30)
-    assert xi_norm(net, x_star) == pytest.approx(0.0, abs=1e-6)
+    assert norm(xi_vector(net, x_star)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_xi_identity_plus_bias():
@@ -192,7 +204,7 @@ def test_xi_identity_plus_bias():
     offset = np.zeros((2, 16, 16), np.float32)
     offset[0] = 0.01
     offset[1] = -0.02
-    assert xi_norm(net, x_star) == pytest.approx(np.linalg.norm(offset), rel=1e-5)
+    assert norm(xi_vector(net, x_star)) == pytest.approx(np.linalg.norm(offset), rel=1e-5)
     assert np.allclose(xi_vector(net, x_star), offset, atol=1e-6)
 
 
@@ -204,10 +216,8 @@ def test_decomposition_identity_net_residual_roundoff():
     net = make_identity_resnet()
     op = MaskedFourierOperator(generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 32))
     x_star = nonzero_complex_image(16, 16, seed=33)
-    y = op.apply(x_star)
     x_t = nonzero_complex_image(16, 16, seed=34)
-    resid = decomposition_check(net, op, 1.0, x_t, x_star, y)
-    assert resid < 1e-5
+    assert _step(net, op, 1.0, x_star, x_t).decomp_residual < 1e-5
 
 
 def test_decomposition_single_layer_hand_expansion():
@@ -250,8 +260,11 @@ def test_decomposition_single_layer_hand_expansion():
     xi = frozen_at(x2, x2) - x2
     hand_resid = nrm(lhs - (term1 + term2 + term3 + xi))
     assert hand_resid < 1e-6  # the identity holds in the hand expansion
-    resid = decomposition_check(net, op, alpha, x_t, x_star, y)
-    assert resid < 1e-5
+    row = _step(net, op, alpha, x_star, x_t)
+    assert row.decomp_residual < 1e-5
+    d_norm = nrm(s2 - x2)
+    assert row.eta1 == pytest.approx(nrm(term1) / d_norm, rel=1e-4)
+    assert row.eta2 == pytest.approx(nrm(term2 + term3) / d_norm, rel=1e-4)
 
 
 def test_decomposition_chain_net_random():
@@ -263,7 +276,7 @@ def test_decomposition_chain_net_random():
         x_t = random_complex_image(16, 16, seed=50 + seed)
         s_next = gradient_step(x_t, y, 0.5, op)
         x_next = ComplexImage.from_channels(net.forward(s_next.to_channels()).value)
-        resid = decomposition_check(net, op, 0.5, x_t, x_star, y)
+        resid = _step(net, op, 0.5, x_star, x_t).decomp_residual
         assert resid <= 1e-4 * (norm(x_next - x_star) + 1.0)
 
 
@@ -274,7 +287,7 @@ def test_decomposition_rejects_noisy_measurements():
     y = op.apply(x_star)
     noisy = ComplexImage(y.re + 0.1, y.im)
     with pytest.raises(ContractError):
-        decomposition_check(net, op, 0.5, x_star, x_star, noisy)
+        analyze_trajectory(net, 0.5, op, [(x_star, noisy)], 1)
 
 
 def test_bound_slack_nonnegative_on_real_steps():
@@ -373,6 +386,23 @@ def test_analyze_untrained_net_trace_is_finite(tmp_path):
     assert header == "t,nrmse,eta1,eta2,xi_norm,decomp_residual,bound_slack"
     agg_header = (tmp_path / "aggregate.csv").read_text().splitlines()[0]
     assert agg_header == "t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std"
+
+
+def test_analyze_returns_final_iterate_and_its_masks():
+    # de-biasing linearizes at g(x_T; y); the analyzer hands back x_T and the
+    # masks it captured there instead of having them recomputed
+    net = _chain_net(seed=55)
+    op = BoxDownsampleOperator(16, 16)
+    x = random_complex_image(16, 16, seed=56)
+    y = op.apply(x)
+    traces, _ = analyze_trajectory(net, 0.5, op, [(x, y)], 3)
+    x_final = unrolled_forward(net, op, y, 3, 0.5).final
+    masks = capture_masks(net, gradient_step(ComplexImage.from_channels(x_final),
+                                             y, 0.5, op))
+    assert np.array_equal(traces[0].x_final, x_final)
+    assert traces[0].masks_final.input_digest == masks.input_digest
+    for got, want in zip(traces[0].masks_final.masks, masks.masks):
+        assert np.array_equal(got, want)
 
 
 def test_analyze_rejects_normalized_net():

@@ -116,12 +116,17 @@ def mul(a: Variable, b: Variable, tape: Optional[Tape] = None) -> Variable:
 
 
 def relu(x: Variable, tape: Optional[Tape] = None) -> Variable:
-    """Gated activation with mask D(z) = 1 if z > 0 else 0 (D(0) = 0)."""
+    """Gated activation with mask D(z) = 1 if z > 0 else 0 (D(0) = 0).
+
+    ``fmax(v, 0)`` returns exactly what ``where(v > 0, v, 0)`` does,
+    including +0.0 for -0.0 and 0 for NaN, without the branch on a random
+    sign pattern.
+    """
     v = x.value
-    mask = v > 0
-    out = Variable(np.where(mask, v, np.float32(0)))
+    out = Variable(np.fmax(v, np.float32(0)))
     if tape is not None:
-        tape.record(out, [(x, lambda g: np.where(mask, g, np.float32(0)))])
+        mask = v > 0
+        tape.record(out, [(x, lambda g: g * mask)])
     return out
 
 
@@ -184,31 +189,36 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
 # convolution
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    # xp: padded (C, Hp, Wp) -> (C*k*k, ho*wo)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
-        xp.shape[0] * k * k, ho * wo)
+def _im2col(v: np.ndarray, k: int) -> np.ndarray:
+    """(C, H, W) -> (C*k*k, H*W): the k x k windows of the zero-padded
+    "same" input, one column per output pixel, rows ordered (c, i, j)."""
+    c, h, w = v.shape
+    p = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
+    xp[:, p:p + h, p:p + w] = v
+    sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (sc, sh, sw, sh, sw),
+                                          writeable=False)
+    return np.ascontiguousarray(win).reshape(c * k * k, h * w)
 
 
-def _col2im(cols: np.ndarray, c: int, hp: int, wp: int, k: int,
-            stride: int, ho: int, wo: int) -> np.ndarray:
-    out = np.zeros((c, hp, wp), np.float32)
-    cols = cols.reshape(c, k, k, ho, wo)
+def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add the columns back onto (C, H, W)."""
+    p = (k - 1) // 2
+    out = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
+    cols = cols.reshape(c, k, k, h, w)
     for i in range(k):
         for j in range(k):
-            out[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, i, j]
-    return out
+            out[:, i:i + h, j:j + w] += cols[:, i, j]
+    return out[:, p:p + h, p:p + w]
 
 
 def conv2d(x: Variable, kernel: Variable, bias: Variable,
-           stride: int = 1, padding: Optional[int] = None,
            tape: Optional[Tape] = None) -> Variable:
-    """2-D cross-correlation with per-channel bias.
+    """Stride-1 "same" 2-D cross-correlation with per-channel bias.
 
-    x: (C_in, H, W); kernel: (C_out, C_in, k, k); bias: (C_out,).
-    padding=None means "same" (requires stride 1 with p = (k-1)/2).
+    x: (C_in, H, W); kernel: (C_out, C_in, k, k) with k odd; bias: (C_out,).
+    The output is (C_out, H, W), zero padding (k-1)/2 on each side.
     """
     kv = kernel.value
     if kv.ndim != 4 or kv.shape[2] != kv.shape[3]:
@@ -216,8 +226,6 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     c_out, c_in, k, _ = kv.shape
     if k % 2 == 0:
         raise ParameterError(f"kernel size must be odd, got {k}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
     v = x.value
     if v.ndim != 3:
         raise ShapeError(f"conv2d input must be (C, H, W), got {v.shape}")
@@ -225,25 +233,27 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
         raise ShapeError(f"input has {v.shape[0]} channels, kernel expects {c_in}")
     if bias.value.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bias.value.shape}")
-    p = (k - 1) // 2 if padding is None else padding
     _, h, w = v.shape
-    hp, wp = h + 2 * p, w + 2 * p
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    if ho < 1 or wo < 1:
+    if h < 1 or w < 1:
         raise ShapeError(f"conv2d output would be empty for input {v.shape}")
-    xp = np.pad(v, ((0, 0), (p, p), (p, p))) if p else v
-    cols = _im2col(xp, k, stride, ho, wo)
+    # a 1x1 kernel needs no im2col: the input itself is the column matrix
+    cols = v.reshape(c_in, h * w) if k == 1 else _im2col(v, k)
     w2 = kv.reshape(c_out, -1)
-    out = Variable((w2 @ cols + bias.value[:, None]).reshape(c_out, ho, wo))
+    out = Variable((w2 @ cols + bias.value[:, None]).reshape(c_out, h, w))
     if tape is not None:
         def vjp_x(g):
-            gm = g.reshape(c_out, -1)
-            dxp = _col2im(w2.T @ gm, c_in, hp, wp, k, stride, ho, wo)
-            return dxp[:, p:p + h, p:p + w] if p else dxp
+            if k == 1:
+                return (w2.T @ g.reshape(c_out, -1)).reshape(c_in, h, w)
+            # materialize the smaller column matrix: an im2col of g has
+            # c_out*k*k rows, the columns w2.T @ g to scatter back c_in*k*k
+            if c_in >= c_out:
+                # correlation of g with the flipped, transposed kernel
+                wf = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+                return (wf @ _im2col(g, k)).reshape(c_in, h, w)
+            return _col2im(w2.T @ g.reshape(c_out, -1), c_in, h, w, k)
 
         def vjp_kernel(g):
-            return (g.reshape(c_out, -1) @ cols.T).reshape(kv.shape)
+            return (cols @ g.reshape(c_out, -1).T).T.reshape(kv.shape)
 
         tape.record(out, [
             (x, vjp_x),

@@ -18,7 +18,9 @@ learnable step size), so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -206,8 +208,23 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
 
 
 def save(ck: Checkpoint, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(ck))
+    """Write atomically: the bytes go to a temp file in the target directory,
+    which then replaces the target, so a failed write leaves any existing
+    checkpoint at ``path`` as it was."""
+    blob = serialize(ck)
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load(path) -> Checkpoint:

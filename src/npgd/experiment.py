@@ -232,8 +232,6 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
-    if op.in_shape != (cfg.image_size, cfg.image_size):
-        raise ConfigError("image_size does not match the operator")
     pairs = list(zip(test_set, _measure(cfg, op, test_set)))
     rows, solved, zero_filled = _evaluate(
         op, pairs, lambda y: reconstruct(net, alpha, op, y, ck.unroll_t), cfg.threads)

@@ -80,17 +80,6 @@ def test_conv2d_gradients_match_finite_differences():
               [x, k, b], out_shape=(4, 8, 8), h=0.05, tol=1e-3)
 
 
-def test_conv2d_stride_two_shape_and_grad():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((1, 8, 8)).astype(np.float32)
-    k = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
-    b = np.zeros(2, np.float32)
-    out = ag.conv2d(Variable(x), Variable(k), Variable(b), stride=2, padding=1)
-    assert out.value.shape == (2, 4, 4)
-    gradcheck(lambda v, t: ag.conv2d(v[0], v[1], v[2], stride=2, padding=1, tape=t),
-              [x, k, b], out_shape=(2, 4, 4), h=0.05, tol=1e-3)
-
-
 def test_conv2d_contract_errors():
     x = Variable(np.zeros((3, 4, 4), np.float32))
     k_bad_channels = Variable(np.zeros((2, 2, 3, 3), np.float32))
@@ -109,6 +98,18 @@ def test_conv2d_contract_errors():
 def test_relu_values():
     out = ag.relu(Variable(np.array([-1.0, 0.0, 2.0], np.float32)))
     assert np.array_equal(out.value, np.array([0.0, 0.0, 2.0], np.float32))
+    # the gate is where(v > 0, v, 0) to the byte: -0.0 and NaN map to +0.0
+    v = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0, 2.0, -np.nan], np.float32)
+    tape = Tape()
+    out = ag.relu(Variable(v), tape)
+    assert out.value.tobytes() == np.where(v > 0, v, np.float32(0)).tobytes()
+    (_, pulls), = tape._records
+    (_, vjp), = pulls
+    g = np.array([3.0, -3.0, 5.0, 7.0, -7.0, 11.0, -13.0, 17.0], np.float32)
+    dv = vjp(g)
+    closed = (v <= 0) | np.isnan(v)
+    assert np.all(dv[closed] == 0)
+    assert np.array_equal(dv[~closed], g[~closed])
 
 
 def test_swish_matches_sigmoid_gate():
@@ -273,17 +274,49 @@ def test_elementwise_vjps_bulk_random_instances():
                   h=h, tol=1e-3, seed=i)
 
 
+def _conv2d_reference(x, kernel, bias):
+    """Stride-1 "same" cross-correlation as a float64 loop over pixels and taps."""
+    c_out, c_in, k, _ = kernel.shape
+    _, h, w = x.shape
+    p = (k - 1) // 2
+    out = np.zeros((c_out, h, w))
+    for o in range(c_out):
+        for r in range(h):
+            for s in range(w):
+                acc = float(bias[o])
+                for c in range(c_in):
+                    for i in range(k):
+                        for j in range(k):
+                            y, z = r + i - p, s + j - p
+                            if 0 <= y < h and 0 <= z < w:
+                                acc += float(kernel[o, c, i, j]) * float(x[c, y, z])
+                out[o, r, s] = acc
+    return out
+
+
 def test_conv2d_vjps_bulk_random_instances():
+    # k = 1 is the plain-matmul path; for k > 1 the input VJP is one GEMM
+    # when c_in >= c_out and a column scatter otherwise: cover all three
     rng = np.random.default_rng(78)
-    for i in range(25):
-        c_in = int(rng.integers(1, 3))
-        c_out = int(rng.integers(1, 4))
-        n = int(rng.choice([4, 5, 6]))
-        x = rng.standard_normal((c_in, n, n)).astype(np.float32)
-        k = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.5).astype(np.float32)
+    paths = set()
+    for i in range(30):
+        k = (1, 3, 5)[i % 3]
+        c_in = int(rng.integers(1, 5))
+        c_out = int(rng.integers(1, 5))
+        h, w = (int(n) for n in rng.choice([3, 4, 5, 6], size=2, replace=False))
+        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        kv = (rng.standard_normal((c_out, c_in, k, k)) * 0.5).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
+        paths.add("1x1" if k == 1 else ("gemm" if c_in >= c_out else "scatter"))
+        out = ag.conv2d(Variable(x), Variable(kv), Variable(b)).value
+        ref = _conv2d_reference(x, kv, b)
+        # float32 accumulation of n terms: |error| <= n * eps * sum |terms|
+        bound = _conv2d_reference(np.abs(x), np.abs(kv), np.abs(b))
+        n_terms = c_in * k * k + 1
+        assert np.all(np.abs(out - ref) <= n_terms * np.finfo(np.float32).eps * bound)
         gradcheck(lambda v, t: ag.conv2d(v[0], v[1], v[2], tape=t),
-                  [x, k, b], out_shape=(c_out, n, n), h=0.05, tol=1e-3, seed=i)
+                  [x, kv, b], out_shape=(c_out, h, w), h=0.05, tol=1e-3, seed=i)
+    assert paths == {"1x1", "gemm", "scatter"}
 
 
 def test_unused_parameter_keeps_zero_grad():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from npgd import autograd as ag
+from npgd import checkpoint
 from npgd.autograd import Variable
 from npgd.checkpoint import Checkpoint, deserialize, load, restore_net, save, serialize
 from npgd.errors import ConfigError, ContractError, CorruptionError, FormatError
@@ -210,6 +211,21 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
         assert np.array_equal(reloaded.params[name], arr)
     assert reloaded.alpha == pytest.approx(0.625)
     assert reloaded.adam_step == 17 and reloaded.epoch == 3
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npgd"
+    save(_make_checkpoint(seed=1), path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint.os, "fsync", disk_full)
+    with pytest.raises(OSError):
+        save(_make_checkpoint(seed=2), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npgd"]
 
 
 def test_checkpoint_restore_net_matches(tmp_path):

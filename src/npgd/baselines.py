@@ -11,14 +11,14 @@ have norm <= 1; this is verified numerically at solver startup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ComplexImage, norm
+from .core import magnitude, norm
 from .errors import DimensionError, ParameterError, SolverError
 from .metrics import snr_db
-from .operators import LinearOperator, power_iteration
+from .operators import LinearOperator, gradient_step, power_iteration
 
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 
@@ -52,100 +52,73 @@ def _check_divisible(h: int, w: int, levels: int) -> None:
 
 
 def _haar_level_fwd(a: np.ndarray) -> np.ndarray:
-    lo = (a[:, 0::2] + a[:, 1::2]) * _INV_SQRT2
-    hi = (a[:, 0::2] - a[:, 1::2]) * _INV_SQRT2
-    a = np.hstack((lo, hi))
-    lo = (a[0::2, :] + a[1::2, :]) * _INV_SQRT2
-    hi = (a[0::2, :] - a[1::2, :]) * _INV_SQRT2
-    return np.vstack((lo, hi))
+    lo = (a[..., 0::2] + a[..., 1::2]) * _INV_SQRT2
+    hi = (a[..., 0::2] - a[..., 1::2]) * _INV_SQRT2
+    a = np.concatenate((lo, hi), axis=-1)
+    lo = (a[..., 0::2, :] + a[..., 1::2, :]) * _INV_SQRT2
+    hi = (a[..., 0::2, :] - a[..., 1::2, :]) * _INV_SQRT2
+    return np.concatenate((lo, hi), axis=-2)
 
 
 def _haar_level_inv(c: np.ndarray) -> np.ndarray:
-    h2 = c.shape[0] // 2
-    lo, hi = c[:h2, :], c[h2:, :]
+    h2 = c.shape[-2] // 2
+    lo, hi = c[..., :h2, :], c[..., h2:, :]
     a = np.empty_like(c)
-    a[0::2, :] = (lo + hi) * _INV_SQRT2
-    a[1::2, :] = (lo - hi) * _INV_SQRT2
-    w2 = a.shape[1] // 2
-    lo, hi = a[:, :w2], a[:, w2:]
+    a[..., 0::2, :] = (lo + hi) * _INV_SQRT2
+    a[..., 1::2, :] = (lo - hi) * _INV_SQRT2
+    w2 = a.shape[-1] // 2
+    lo, hi = a[..., :w2], a[..., w2:]
     out = np.empty_like(a)
-    out[:, 0::2] = (lo + hi) * _INV_SQRT2
-    out[:, 1::2] = (lo - hi) * _INV_SQRT2
+    out[..., 0::2] = (lo + hi) * _INV_SQRT2
+    out[..., 1::2] = (lo - hi) * _INV_SQRT2
     return out
 
 
-def _haar2_plane_fwd(x: np.ndarray, levels: int) -> np.ndarray:
+def haar2_forward(x: np.ndarray, levels: int) -> np.ndarray:
+    """Orthonormal separable Haar pyramid over the last two axes, so the
+    planes of a (2, H, W) image are transformed independently."""
     out = np.array(x, np.float32, copy=True)
-    h, w = out.shape
+    h, w = out.shape[-2:]
+    _check_divisible(h, w, levels)
     for _ in range(levels):
-        out[:h, :w] = _haar_level_fwd(out[:h, :w])
+        out[..., :h, :w] = _haar_level_fwd(out[..., :h, :w])
         h //= 2
         w //= 2
     return out
 
 
-def _haar2_plane_inv(c: np.ndarray, levels: int) -> np.ndarray:
+def haar2_inverse(c: np.ndarray, levels: int) -> np.ndarray:
     out = np.array(c, np.float32, copy=True)
-    h = out.shape[0] >> (levels - 1)
-    w = out.shape[1] >> (levels - 1)
+    _check_divisible(out.shape[-2], out.shape[-1], levels)
+    h = out.shape[-2] >> (levels - 1)
+    w = out.shape[-1] >> (levels - 1)
     for _ in range(levels):
-        out[:h, :w] = _haar_level_inv(out[:h, :w])
+        out[..., :h, :w] = _haar_level_inv(out[..., :h, :w])
         h *= 2
         w *= 2
     return out
-
-
-def haar2_forward(x: Union[np.ndarray, ComplexImage], levels: int):
-    """Orthonormal separable Haar pyramid (re/im handled independently)."""
-    if isinstance(x, ComplexImage):
-        _check_divisible(x.height, x.width, levels)
-        return ComplexImage(_haar2_plane_fwd(x.re, levels),
-                            _haar2_plane_fwd(x.im, levels))
-    x = np.asarray(x, np.float32)
-    _check_divisible(x.shape[0], x.shape[1], levels)
-    return _haar2_plane_fwd(x, levels)
-
-
-def haar2_inverse(c: Union[np.ndarray, ComplexImage], levels: int):
-    if isinstance(c, ComplexImage):
-        _check_divisible(c.height, c.width, levels)
-        return ComplexImage(_haar2_plane_inv(c.re, levels),
-                            _haar2_plane_inv(c.im, levels))
-    c = np.asarray(c, np.float32)
-    _check_divisible(c.shape[0], c.shape[1], levels)
-    return _haar2_plane_inv(c, levels)
 
 
 # ---------------------------------------------------------------------------
 # proximal map
 
 
-def soft_threshold(v: Union[np.ndarray, ComplexImage], lam: float):
-    """Proximal map of lam * ||.||_1.
-
-    Real arrays shrink elementwise: sign(v) * max(|v| - lam, 0). A
-    ComplexImage shrinks each (re, im) pair by magnitude.
-    """
+def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
+    """Proximal map of lam * ||.||_1 on a (2, H, W) image: each (re, im)
+    pair shrinks by its magnitude. With a zero imaginary plane this is the
+    real shrinkage sign(v) * max(|v| - lam, 0)."""
     if lam < 0:
         raise ParameterError("threshold must be >= 0")
-    if isinstance(v, ComplexImage):
-        mag = np.sqrt(v.re.astype(np.float64) ** 2 + v.im.astype(np.float64) ** 2)
-        factor = (np.maximum(mag - lam, 0.0) /
-                  np.maximum(mag, np.finfo(np.float64).tiny)).astype(np.float32)
-        return ComplexImage(v.re * factor, v.im * factor)
-    v = np.asarray(v, np.float32)
-    return np.sign(v) * np.maximum(np.abs(v) - np.float32(lam), np.float32(0))
+    mag = magnitude(v)
+    factor = (np.maximum(mag - lam, 0.0) /
+              np.maximum(mag, np.finfo(np.float64).tiny)).astype(np.float32)
+    return v * factor
 
 
-def _l1_coeff_norm(c: ComplexImage) -> float:
-    return float(np.sum(np.sqrt(c.re.astype(np.float64) ** 2
-                                + c.im.astype(np.float64) ** 2)))
-
-
-def cs_objective(x: ComplexImage, y: ComplexImage, op: LinearOperator,
+def cs_objective(x: np.ndarray, y: np.ndarray, op: LinearOperator,
                  lam: float, levels: int) -> Tuple[float, float, float]:
     data = 0.5 * norm(y - op.apply(x)) ** 2
-    l1 = lam * _l1_coeff_norm(haar2_forward(x, levels))
+    l1 = lam * float(np.sum(magnitude(haar2_forward(x, levels))))
     return data + l1, data, l1
 
 
@@ -154,20 +127,19 @@ def _solver_step_size(op: LinearOperator) -> float:
     return 1.0 if est <= 1.0 + 1e-3 else 1.0 / (est * est)
 
 
-def _prox_step(x: ComplexImage, y: ComplexImage, op: LinearOperator,
-               alpha: float, lam: float, levels: int) -> ComplexImage:
-    u = x + alpha * op.adjoint(y - op.apply(x))
+def _prox_step(x: np.ndarray, y: np.ndarray, op: LinearOperator,
+               alpha: float, lam: float, levels: int) -> np.ndarray:
+    u = gradient_step(x, y, alpha, op)
     return haar2_inverse(soft_threshold(haar2_forward(u, levels), alpha * lam), levels)
 
 
-def ista(y: ComplexImage, op: LinearOperator, cfg: CsConfig
-         ) -> Tuple[ComplexImage, List[Tuple[int, float, float, float]]]:
+def ista(y: np.ndarray, op: LinearOperator, cfg: CsConfig
+         ) -> Tuple[np.ndarray, List[Tuple[int, float, float, float]]]:
     """Proximal gradient iterations from x = 0; trace rows are
     (iter, objective, data_term, l1_term)."""
     cfg.validate()
     alpha = _solver_step_size(op)
-    h, w = op.in_shape
-    x = ComplexImage.zeros(h, w)
+    x = np.zeros((2,) + tuple(op.in_shape), np.float32)
     start_obj = cs_objective(x, y, op, cfg.lam, cfg.levels)[0]
     trace = []
     for it in range(1, cfg.iterations + 1):
@@ -185,13 +157,12 @@ def nesterov_next_t(t: float) -> float:
     return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def fista(y: ComplexImage, op: LinearOperator, cfg: CsConfig
-          ) -> Tuple[ComplexImage, List[Tuple[int, float, float, float]]]:
+def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig
+          ) -> Tuple[np.ndarray, List[Tuple[int, float, float, float]]]:
     """ISTA with Nesterov momentum starting from t_0 = 1."""
     cfg.validate()
     alpha = _solver_step_size(op)
-    h, w = op.in_shape
-    x_prev = ComplexImage.zeros(h, w)
+    x_prev = np.zeros((2,) + tuple(op.in_shape), np.float32)
     z = x_prev
     t_k = 1.0
     start_obj = cs_objective(x_prev, y, op, cfg.lam, cfg.levels)[0]
@@ -199,7 +170,8 @@ def fista(y: ComplexImage, op: LinearOperator, cfg: CsConfig
     for it in range(1, cfg.iterations + 1):
         x = _prox_step(z, y, op, alpha, cfg.lam, cfg.levels)
         t_next = nesterov_next_t(t_k)
-        z = x + ((t_k - 1.0) / t_next) * (x - x_prev)
+        # t_next is float64: cast, or the image would promote to float64
+        z = x + np.float32((t_k - 1.0) / t_next) * (x - x_prev)
         x_prev, t_k = x, t_next
         obj, data, l1 = cs_objective(x, y, op, cfg.lam, cfg.levels)
         trace.append((it, obj, data, l1))
@@ -213,22 +185,20 @@ def fista(y: ComplexImage, op: LinearOperator, cfg: CsConfig
 # tuning
 
 
-def default_lambda_grid(ys: Sequence[ComplexImage], op: LinearOperator,
+def default_lambda_grid(ys: Sequence[np.ndarray], op: LinearOperator,
                         levels: int, points: int = 8,
                         lo: float = 1e-4, hi: float = 1e-1) -> List[float]:
     """Logarithmic grid scaled by the peak coefficient magnitude of the
     zero-filled estimates."""
     peak = 0.0
     for y in ys:
-        c = haar2_forward(op.adjoint(y), levels)
-        mag = np.sqrt(c.re.astype(np.float64) ** 2 + c.im.astype(np.float64) ** 2)
-        peak = max(peak, float(mag.max()))
+        peak = max(peak, float(magnitude(haar2_forward(op.adjoint(y), levels)).max()))
     if peak == 0.0:
         peak = 1.0
     return [float(g) for g in peak * np.geomspace(lo, hi, points)]
 
 
-def tune_lambda(validation: Sequence[Tuple[ComplexImage, ComplexImage]],
+def tune_lambda(validation: Sequence[Tuple[np.ndarray, np.ndarray]],
                 op: LinearOperator, grid: Sequence[float], cfg: CsConfig
                 ) -> Tuple[float, List[Tuple[float, float]]]:
     """Exhaustive search over the grid by mean SNR; ties favor smaller lambda.

@@ -29,17 +29,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ComplexImage, norm
+from .core import norm
 from .errors import ContractError, UndefinedRatioError, UnsupportedConfigError
 from .operators import LinearOperator, gradient_step
 from .proxnet import MaskSnapshot, ProximalNet, capture_masks
 from .unroll import unrolled_forward, write_csv
-
-
-def _channels(x) -> np.ndarray:
-    if isinstance(x, ComplexImage):
-        return x.to_channels()
-    return np.asarray(x, np.float32)
 
 
 class FrozenAffineMap:
@@ -60,8 +54,8 @@ class FrozenAffineMap:
         self.snapshot = snapshot
         self._at_zero: Optional[np.ndarray] = None
 
-    def __call__(self, u) -> np.ndarray:
-        return self.net.forward_frozen(_channels(u), self.snapshot)
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.net.forward_frozen(u, self.snapshot)
 
     def at_zero(self) -> np.ndarray:
         if self._at_zero is None:
@@ -69,7 +63,7 @@ class FrozenAffineMap:
             self._at_zero = self(np.zeros((2,) + shape, np.float32))
         return self._at_zero
 
-    def linear(self, v) -> np.ndarray:
+    def linear(self, v: np.ndarray) -> np.ndarray:
         return self(v) - self.at_zero()
 
 
@@ -78,14 +72,13 @@ def _preconditioned(op: LinearOperator, alpha: float, delta2: np.ndarray) -> np.
     return delta2 - np.float32(alpha) * op.normal_channels(delta2)
 
 
-def xi_vector(net: ProximalNet, x_star) -> np.ndarray:
+def xi_vector(net: ProximalNet, x_star: np.ndarray) -> np.ndarray:
     """forward(x*) - x*: how far the truth is from being a fixed point."""
-    x2 = _channels(x_star)
-    return net.forward(x2).value - x2
+    return net.forward(x_star).value - x_star
 
 
-def _require_noiseless(op: LinearOperator, x_star: ComplexImage,
-                       y: ComplexImage) -> None:
+def _require_noiseless(op: LinearOperator, x_star: np.ndarray,
+                       y: np.ndarray) -> None:
     ref = max(norm(y), 1e-12)
     if norm(y - op.apply(x_star)) > 1e-4 * ref:
         raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
@@ -117,7 +110,8 @@ TRACE_COLUMNS = ("t", "nrmse", "eta1", "eta2", "xi_norm", "decomp_residual",
 
 def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
                      xi: np.ndarray, op: LinearOperator, alpha: float,
-                     x_star, x_t, x_next) -> TraceRow:
+                     x_star: np.ndarray, x_t: np.ndarray,
+                     x_next: np.ndarray) -> TraceRow:
     """eta1, eta2, decomposition residual and bound slack of one transition
     x_t -> s_{t+1} = g(x_t; y) -> x_{t+1} = M(s_{t+1}).
 
@@ -126,19 +120,18 @@ def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
     noiseless y = apply(x_*). Raises UndefinedRatioError when x_t = x_*;
     the NRMSE against a zero truth is inf.
     """
-    x2, x_next = _channels(x_star), _channels(x_next)
-    delta = _channels(x_t) - x2
+    delta = x_t - x_star
     dn = norm(delta)
     if dn == 0.0:
         raise UndefinedRatioError("eta1/eta2 undefined for a zero perturbation")
-    err_next = norm(x_next - x2)
+    err_next = norm(x_next - x_star)
     w = _preconditioned(op, alpha, delta)
     term_frozen = m_star.linear(w)
-    u = x2 + w
+    u = x_star + w
     perturb = m_t(u) - m_star(u)
     e1, e2, xi_n = norm(term_frozen) / dn, norm(perturb) / dn, norm(xi)
-    resid = norm((x_next - x2) - (term_frozen + perturb + xi))
-    ref = norm(x2)
+    resid = norm((x_next - x_star) - (term_frozen + perturb + xi))
+    ref = norm(x_star)
     return TraceRow(t, dn / ref if ref > 0.0 else float("inf"), e1, e2, xi_n, resid,
                     bound_slack(e1, e2, dn, xi_n, err_next), dn, err_next)
 
@@ -156,14 +149,14 @@ class ContractionTrace:
 
 @dataclass
 class DebiasResult:
-    x: ComplexImage
+    x: np.ndarray
     converged: bool
     diverged: bool
     iterations: int
 
 
 def debias(net: ProximalNet, masks_t: MaskSnapshot, op: LinearOperator,
-           alpha: float, y: ComplexImage, x_t: ComplexImage,
+           alpha: float, y: np.ndarray, x_t: np.ndarray,
            max_iters: int = 200, tol: float = 1e-5) -> DebiasResult:
     """Re-solve the fixed point with the proximal replaced by its frozen
     affine map (masks from the final iterate).
@@ -175,7 +168,7 @@ def debias(net: ProximalNet, masks_t: MaskSnapshot, op: LinearOperator,
     x = x_t
     norm0 = max(norm(x_t), np.finfo(np.float32).tiny)
     for it in range(1, max_iters + 1):
-        xn = ComplexImage.from_channels(frozen(gradient_step(x, y, alpha, op)))
+        xn = frozen(gradient_step(x, y, alpha, op))
         if norm(xn) > 100.0 * norm0:
             return DebiasResult(x_t, converged=False, diverged=True, iterations=it)
         step = norm(xn - x)
@@ -186,7 +179,7 @@ def debias(net: ProximalNet, masks_t: MaskSnapshot, op: LinearOperator,
 
 
 def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
-                       test_set: Sequence[Tuple[ComplexImage, ComplexImage]],
+                       test_set: Sequence[Tuple[np.ndarray, np.ndarray]],
                        iterations: int,
                        out_dir: Optional[Union[str, os.PathLike]] = None
                        ) -> Tuple[List[ContractionTrace], List[tuple]]:
@@ -203,11 +196,9 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
     for idx, (x_star, y) in enumerate(test_set):
         _require_noiseless(op, x_star, y)
         traj = unrolled_forward(net, op, y, iterations, alpha)
-        x2 = x_star.to_channels()
-        m_star = FrozenAffineMap(net, capture_masks(net, x2))
-        xi_vec = xi_vector(net, x2)
-        s_extra = gradient_step(ComplexImage.from_channels(traj.final), y, alpha,
-                                op).to_channels()
+        m_star = FrozenAffineMap(net, capture_masks(net, x_star))
+        xi_vec = xi_vector(net, x_star)
+        s_extra = gradient_step(traj.final, y, alpha, op)
         xs = traj.x + [net.forward(s_extra).value]
         s_states = traj.s[1:] + [s_extra]
 
@@ -217,13 +208,13 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
             masks_t = capture_masks(net, s_states[t - 1])
             try:
                 rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t),
-                                             xi_vec, op, alpha, x2, xs[t - 1], x_next))
+                                             xi_vec, op, alpha, x_star, xs[t - 1], x_next))
             except UndefinedRatioError:
                 # already exactly at the truth: ratios are undefined; record
                 # zeros so the trace stays finite
-                xi, err_next = norm(xi_vec), norm(x_next - x2)
+                xi, err_next = norm(xi_vec), norm(x_next - x_star)
                 rows.append(TraceRow(t, 0.0, 0.0, 0.0, xi,
-                                     norm((x_next - x2) - xi_vec),
+                                     norm((x_next - x_star) - xi_vec),
                                      bound_slack(0.0, 0.0, 0.0, xi, err_next),
                                      0.0, err_next))
         traces.append(ContractionTrace(idx, rows, traj.final, masks_t))

@@ -1,9 +1,12 @@
-"""Complex image container, unitary 2D FFT, and small vector helpers.
+"""Image layout, unitary 2D FFT, and small vector helpers.
 
-All image data is float32; norms and inner products accumulate in float64
-so that diagnostics built on them do not lose digits to cancellation.
-The FFT is unitary (1/sqrt(HW) both ways), which keeps every measurement
-operator built from a binary sampling mask at operator norm <= 1.
+An image is a float32 (2, H, W) array: plane 0 holds the real part, plane 1
+the imaginary part. Operators, solvers, the proximal net, losses and
+metrics all take and return that one layout. Norms and inner products
+accumulate in float64 so that diagnostics built on them do not lose digits
+to cancellation. The FFT is unitary (1/sqrt(HW) both ways), which keeps
+every measurement operator built from a binary sampling mask at operator
+norm <= 1.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ def check_power_of_two(n: int, axis: str) -> None:
         raise DimensionError(f"size {n} along {axis} is not a power of two")
 
 
+def _check_planes(x: np.ndarray, what: str) -> None:
+    """Raise ShapeError unless x has the (2, H, W) image layout."""
+    if np.ndim(x) != 3 or np.shape(x)[0] != 2:
+        raise ShapeError(f"{what}: expected (2, H, W), got {np.shape(x)}")
+
+
 @dataclass
 class ComplexImage:
-    """H x W complex image stored as separate real/imaginary float32 planes."""
+    """H x W complex image as separate float32 planes; converts between the
+    (2, H, W) layout and complex arrays."""
 
     re: np.ndarray
     im: np.ndarray
@@ -37,23 +47,6 @@ class ComplexImage:
                 f"re/im shapes differ: {self.re.shape} vs {self.im.shape}"
             )
 
-    @property
-    def height(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.re.shape[1]
-
-    @property
-    def shape(self) -> tuple:
-        return self.re.shape
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "ComplexImage":
-        return cls(np.zeros((height, width), np.float32),
-                   np.zeros((height, width), np.float32))
-
     @classmethod
     def from_complex(cls, z: np.ndarray) -> "ComplexImage":
         return cls(z.real.astype(np.float32), z.imag.astype(np.float32))
@@ -61,8 +54,7 @@ class ComplexImage:
     @classmethod
     def from_channels(cls, arr: np.ndarray) -> "ComplexImage":
         """Build from a (2, H, W) float array (channel 0 = re, 1 = im)."""
-        if arr.ndim != 3 or arr.shape[0] != 2:
-            raise ShapeError(f"expected (2, H, W), got {arr.shape}")
+        _check_planes(arr, "from_channels")
         return cls(arr[0], arr[1])
 
     def to_complex(self) -> np.ndarray:
@@ -71,34 +63,13 @@ class ComplexImage:
     def to_channels(self) -> np.ndarray:
         return np.stack((self.re, self.im))
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.re.astype(np.float64) ** 2
-                       + self.im.astype(np.float64) ** 2).astype(np.float32)
-
-    def copy(self) -> "ComplexImage":
-        return ComplexImage(self.re.copy(), self.im.copy())
-
-    def __add__(self, other: "ComplexImage") -> "ComplexImage":
-        return ComplexImage(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexImage") -> "ComplexImage":
-        return ComplexImage(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, scalar: float) -> "ComplexImage":
-        s = np.float32(scalar)
-        return ComplexImage(self.re * s, self.im * s)
-
-    __rmul__ = __mul__
-
 
 def _as_flat64(a) -> np.ndarray:
-    if isinstance(a, ComplexImage):
-        return np.concatenate((a.re.ravel(), a.im.ravel())).astype(np.float64)
     return np.asarray(a).ravel().astype(np.float64)
 
 
 def dot(a, b) -> float:
-    """Euclidean inner product; a ComplexImage counts as a real vector of
+    """Euclidean inner product; a (2, H, W) image counts as a real vector of
     its stacked re/im entries."""
     fa, fb = _as_flat64(a), _as_flat64(b)
     if fa.shape != fb.shape:
@@ -111,28 +82,26 @@ def norm(a) -> float:
     return float(np.sqrt(np.dot(f, f)))
 
 
-def axpy(alpha: float, a, b):
-    """alpha * a + b, elementwise, for arrays or ComplexImages."""
-    if isinstance(a, ComplexImage) and isinstance(b, ComplexImage):
-        if a.shape != b.shape:
-            raise ShapeError(f"axpy: shape {a.shape} vs {b.shape}")
-        return a * alpha + b
-    a = np.asarray(a, np.float32)
-    b = np.asarray(b, np.float32)
-    if a.shape != b.shape:
-        raise ShapeError(f"axpy: shape {a.shape} vs {b.shape}")
-    return np.float32(alpha) * a + b
+def magnitude(x: np.ndarray) -> np.ndarray:
+    """Pixelwise |re + i im| of a (2, H, W) image, in float64. Round to
+    float32 where a stored image or an image metric expects float32."""
+    return np.sqrt(x[0].astype(np.float64) ** 2 + x[1].astype(np.float64) ** 2)
 
 
-def fft2(img: ComplexImage) -> ComplexImage:
-    """Unitary 2D DFT. Dimensions must be powers of two."""
-    check_power_of_two(img.height, "height")
-    check_power_of_two(img.width, "width")
-    return ComplexImage.from_complex(np.fft.fft2(img.to_complex(), norm="ortho"))
+def _fft(x: np.ndarray, transform) -> np.ndarray:
+    _check_planes(x, "fft")
+    check_power_of_two(x.shape[1], "height")
+    check_power_of_two(x.shape[2], "width")
+    f = transform(x[0].astype(np.complex64) + 1j * x[1].astype(np.complex64),
+                  norm="ortho")
+    return np.stack((f.real, f.imag)).astype(np.float32, copy=False)
 
 
-def ifft2(img: ComplexImage) -> ComplexImage:
+def fft2(x: np.ndarray) -> np.ndarray:
+    """Unitary 2D DFT of a (2, H, W) image. H and W must be powers of two."""
+    return _fft(x, np.fft.fft2)
+
+
+def ifft2(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2` (also unitary)."""
-    check_power_of_two(img.height, "height")
-    check_power_of_two(img.width, "width")
-    return ComplexImage.from_complex(np.fft.ifft2(img.to_complex(), norm="ortho"))
+    return _fft(x, np.fft.ifft2)

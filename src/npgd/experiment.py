@@ -16,7 +16,7 @@ from . import checkpoint as ckpt_io
 from .baselines import default_lambda_grid, fista, ista, tune_lambda
 from .config import ExperimentConfig, parse_sweep_grid
 from .contraction import analyze_trajectory, debias
-from .core import ComplexImage, norm
+from .core import magnitude, norm
 from .errors import ConfigError, ParameterError
 from .metrics import nrmse, snr_db, ssim
 from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
@@ -44,31 +44,37 @@ def _center_crop_pad(plane: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def load_image_dir(path: str, size: int) -> List[ComplexImage]:
-    """Ingest a directory of PGMs: paired *_re.pgm/*_im.pgm complex images
-    or plain grayscale ones (imaginary part zero), center-cropped/padded."""
+def load_image_dir(path: str, size: int) -> List[np.ndarray]:
+    """Ingest a directory of PGMs as (2, size, size) images: paired
+    *_re.pgm/*_im.pgm complex images or plain grayscale ones (imaginary
+    part zero), center-cropped/padded."""
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
     if not names:
         raise ParameterError(f"no PGM images found in {path}")
+    present = set(names)
     images = []
-    seen_im = {f for f in names if f.endswith("_im.pgm")}
     for name in names:
         if name.endswith("_im.pgm"):
+            if name[:-7] + "_re.pgm" not in present:
+                raise ParameterError(f"{name} has no matching _re.pgm")
             continue
         re_plane = read_pgm(os.path.join(path, name))
         if name.endswith("_re.pgm"):
             im_name = name[:-7] + "_im.pgm"
-            if im_name not in seen_im:
+            if im_name not in present:
                 raise ParameterError(f"{name} has no matching _im.pgm")
             im_plane = read_pgm(os.path.join(path, im_name))
+            if im_plane.shape != re_plane.shape:
+                raise ParameterError(f"{name} and {im_name} differ in shape: "
+                                     f"{re_plane.shape} vs {im_plane.shape}")
         else:
             im_plane = np.zeros_like(re_plane)
-        images.append(ComplexImage(_center_crop_pad(re_plane, size),
-                                   _center_crop_pad(im_plane, size)))
+        images.append(np.stack((_center_crop_pad(re_plane, size),
+                                _center_crop_pad(im_plane, size))))
     return images
 
 
-def build_dataset(cfg: ExperimentConfig) -> List[ComplexImage]:
+def build_dataset(cfg: ExperimentConfig) -> List[np.ndarray]:
     if cfg.data_dir is not None:
         return load_image_dir(cfg.data_dir, cfg.image_size)
     spec = PhantomSpec(cfg.phantom_min_ellipses, cfg.phantom_max_ellipses,
@@ -77,7 +83,7 @@ def build_dataset(cfg: ExperimentConfig) -> List[ComplexImage]:
     return generate_dataset(cfg.data_num, cfg.image_size, spec, cfg.data_seed)
 
 
-def split_dataset(images: Sequence[ComplexImage], holdout: int):
+def split_dataset(images: Sequence[np.ndarray], holdout: int):
     if holdout >= len(images):
         raise ConfigError(f"holdout ({holdout}) must be smaller than the "
                           f"dataset ({len(images)})")
@@ -94,15 +100,14 @@ def build_operator(cfg: ExperimentConfig):
     return BoxDownsampleOperator(cfg.image_size, cfg.image_size), None
 
 
-def simulate_measurements(images: Sequence[ComplexImage], op: LinearOperator,
+def simulate_measurements(images: Sequence[np.ndarray], op: LinearOperator,
                           noise_std: float = 0.0, seed: int = 0
-                          ) -> List[ComplexImage]:
+                          ) -> List[np.ndarray]:
     ys = [op.apply(x) for x in images]
     if noise_std > 0:
         rng = np.random.default_rng(seed)
-        ys = [ComplexImage(y.re + rng.normal(0, noise_std, y.shape).astype(np.float32),
-                           y.im + rng.normal(0, noise_std, y.shape).astype(np.float32))
-              for y in ys]
+        # one draw per image fills the real plane, then the imaginary one
+        ys = [y + rng.normal(0, noise_std, y.shape).astype(np.float32) for y in ys]
     return ys
 
 
@@ -114,8 +119,8 @@ def _setup(cfg: ExperimentConfig):
 
 
 def _measure(cfg: ExperimentConfig, op: LinearOperator,
-             images: Sequence[ComplexImage],
-             noise_std: Optional[float] = None) -> List[ComplexImage]:
+             images: Sequence[np.ndarray],
+             noise_std: Optional[float] = None) -> List[np.ndarray]:
     """Simulated measurements of images, with the config's noise unless
     noise_std says otherwise."""
     std = cfg.noise_std if noise_std is None else noise_std
@@ -147,7 +152,12 @@ class EvalRow:
 EVAL_HEADER = ("index", "snr_zf_db", "snr_db", "ssim", "nrmse")
 
 
-def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[ComplexImage, ComplexImage]],
+def _magnitude32(x: np.ndarray) -> np.ndarray:
+    """The magnitude image, rounded to float32 as stored and scored."""
+    return magnitude(x).astype(np.float32)
+
+
+def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
               solve, threads: int = 1):
     """Run solve(y) -> (estimate, extra) on every measurement and score each
     estimate, next to the zero-filled adjoint(y), against its truth.
@@ -160,12 +170,13 @@ def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[ComplexImage, ComplexIma
         zf = op.adjoint(y)
         zero_filled.append(zf)
         rows.append(EvalRow(i, snr_db(zf, x_true), snr_db(xhat, x_true),
-                            ssim(xhat, x_true), nrmse(xhat, x_true)))
+                            ssim(_magnitude32(xhat), _magnitude32(x_true)),
+                            nrmse(xhat, x_true)))
     return rows, solved, zero_filled
 
 
 def evaluate_model(net, alpha: float, op: LinearOperator, iterations: int,
-                   pairs: Sequence[Tuple[ComplexImage, ComplexImage]]) -> List[EvalRow]:
+                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> List[EvalRow]:
     return _evaluate(op, pairs, lambda y: reconstruct(net, alpha, op, y, iterations))[0]
 
 
@@ -198,8 +209,8 @@ def run_gendata(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     images = build_dataset(cfg)
     for i, img in enumerate(images):
-        write_pgm16(os.path.join(out_dir, f"img_{i:04d}_re.pgm"), img.re)
-        write_pgm16(os.path.join(out_dir, f"img_{i:04d}_im.pgm"), img.im)
+        write_pgm16(os.path.join(out_dir, f"img_{i:04d}_re.pgm"), img[0])
+        write_pgm16(os.path.join(out_dir, f"img_{i:04d}_im.pgm"), img[1])
     return {"count": len(images), "dir": out_dir}
 
 
@@ -236,9 +247,9 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
     rows, solved, zero_filled = _evaluate(
         op, pairs, lambda y: reconstruct(net, alpha, op, y, ck.unroll_t), cfg.threads)
     for i, ((x_true, _), (xhat, _), zf) in enumerate(zip(pairs, solved, zero_filled)):
-        write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), xhat.magnitude())
-        write_pgm16(os.path.join(out_dir, f"zf_{i:04d}.pgm"), zf.magnitude())
-        write_pgm16(os.path.join(out_dir, f"truth_{i:04d}.pgm"), x_true.magnitude())
+        write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), _magnitude32(xhat))
+        write_pgm16(os.path.join(out_dir, f"zf_{i:04d}.pgm"), _magnitude32(zf))
+        write_pgm16(os.path.join(out_dir, f"truth_{i:04d}.pgm"), _magnitude32(x_true))
     path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return {"metrics": path, "rows": rows,
             "mean_snr": mean_snr(rows),
@@ -280,7 +291,7 @@ def run_analyze(cfg: ExperimentConfig, out_dir: str) -> dict:
                                            out_dir=out_dir)
     debias_rows = []
     for tr, (_, y) in zip(traces, pairs):
-        x_t = ComplexImage.from_channels(tr.x_final)
+        x_t = tr.x_final
         # linearize where the frozen map is actually applied: the final
         # proximal input g(x_T; y)
         res = debias(net, tr.masks_final, op, alpha, y, x_t)

@@ -1,18 +1,18 @@
 """Image-quality metrics: SNR (dB), SSIM, NRMSE.
 
-SNR and NRMSE operate on the stacked re/im planes of complex images; SSIM
-is computed on magnitude images with a 7x7 Gaussian window (sigma = 1.5)
-and the standard constants K1 = 0.01, K2 = 0.03.
+SNR and NRMSE operate on the stacked re/im planes of (2, H, W) images;
+SSIM is computed on real 2-D planes (pass core.magnitude of an image) with
+a 7x7 Gaussian window (sigma = 1.5) and the standard constants K1 = 0.01,
+K2 = 0.03.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import ComplexImage, norm
+from .core import norm
 from .errors import ParameterError, ShapeError, UndefinedMetricError
 
 _SNR_CAP_DB = 100.0
@@ -39,17 +39,13 @@ def nrmse(xhat, xstar) -> float:
     return norm(_diff(xhat, xstar)) / ref
 
 
-def _diff(a, b):
-    if isinstance(a, ComplexImage):
-        return a - b
+def _diff(a, b) -> np.ndarray:
     return np.asarray(a, np.float32) - np.asarray(b, np.float32)
 
 
 def _check_same_shape(a, b) -> None:
-    sa = a.shape if isinstance(a, ComplexImage) else np.asarray(a).shape
-    sb = b.shape if isinstance(b, ComplexImage) else np.asarray(b).shape
-    if sa != sb:
-        raise ShapeError(f"metric inputs differ in shape: {sa} vs {sb}")
+    if np.shape(a) != np.shape(b):
+        raise ShapeError(f"metric inputs differ in shape: {np.shape(a)} vs {np.shape(b)}")
 
 
 def _gaussian_window(size: int = 7, sigma: float = 1.5) -> np.ndarray:
@@ -66,14 +62,16 @@ def _local_stats(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 def ssim(xhat, xstar, data_range: Optional[float] = None) -> float:
-    """Mean local SSIM on magnitude images.
+    """Mean local SSIM of two real 2-D planes, such as magnitude images.
 
     data_range defaults to max(x*) - min(x*); pass it explicitly for
     images whose reference range is degenerate or externally defined.
     """
     _check_same_shape(xhat, xstar)
-    a = _magnitude(xhat)
-    b = _magnitude(xstar)
+    a = np.asarray(xhat, np.float64)
+    b = np.asarray(xstar, np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"SSIM needs 2-D planes, got shape {a.shape}")
     if min(a.shape) < 7:
         raise ParameterError("SSIM needs images of at least 7x7 pixels")
     if data_range is None:
@@ -91,20 +89,3 @@ def ssim(xhat, xstar, data_range: Optional[float] = None) -> float:
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
     return float(np.mean(num / den))
-
-
-def _magnitude(x: Union[ComplexImage, np.ndarray]) -> np.ndarray:
-    if isinstance(x, ComplexImage):
-        return x.magnitude().astype(np.float64)
-    return np.asarray(x, np.float64)
-
-
-@dataclass
-class MetricReport:
-    snr_db: float
-    ssim: float
-    nrmse: float
-
-
-def report(xhat, xstar) -> MetricReport:
-    return MetricReport(snr_db(xhat, xstar), ssim(xhat, xstar), nrmse(xhat, xstar))

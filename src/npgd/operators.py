@@ -12,32 +12,31 @@ from typing import Optional, Union
 import numpy as np
 
 from .autograd import Tape, Variable
-from .core import ComplexImage, fft2, ifft2, norm
+from .core import fft2, ifft2, norm
 from .errors import DimensionError, ShapeError
 from .sampling import SamplingMask
 
 
 class LinearOperator:
-    """apply/adjoint pair on complex images."""
+    """apply/adjoint pair on (2, H, W) images."""
 
     in_shape: tuple
     out_shape: tuple
 
-    def apply(self, x: ComplexImage) -> ComplexImage:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def adjoint(self, y: ComplexImage) -> ComplexImage:
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # channel-plane conveniences used by the differentiable pipeline
-
-    def adjoint_channels(self, y2: np.ndarray) -> np.ndarray:
-        return self.adjoint(ComplexImage.from_channels(y2)).to_channels()
 
     def normal_channels(self, x2: np.ndarray) -> np.ndarray:
         """adjoint(apply(x)) on a (2, H, W) plane stack."""
-        img = ComplexImage.from_channels(x2)
-        return self.adjoint(self.apply(img)).to_channels()
+        return self.adjoint(self.apply(x2))
+
+
+def _check(x: np.ndarray, hw: tuple, what: str) -> None:
+    if np.shape(x) != (2,) + tuple(hw):
+        raise ShapeError(f"{what}: image {np.shape(x)} vs expected {(2,) + tuple(hw)}")
 
 
 class MaskedFourierOperator(LinearOperator):
@@ -49,22 +48,13 @@ class MaskedFourierOperator(LinearOperator):
         self.in_shape = (mask.height, mask.width)
         self.out_shape = (mask.height, mask.width)
 
-    def _check(self, img: ComplexImage, what: str) -> None:
-        if img.shape != (self.mask.height, self.mask.width):
-            raise ShapeError(
-                f"{what}: image {img.shape} vs mask {(self.mask.height, self.mask.width)}")
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        _check(x, self.in_shape, "mf_apply")
+        return np.where(self._bits, fft2(x), np.float32(0))
 
-    def apply(self, x: ComplexImage) -> ComplexImage:
-        self._check(x, "mf_apply")
-        f = fft2(x)
-        return ComplexImage(np.where(self._bits, f.re, np.float32(0)),
-                            np.where(self._bits, f.im, np.float32(0)))
-
-    def adjoint(self, y: ComplexImage) -> ComplexImage:
-        self._check(y, "mf_adjoint")
-        masked = ComplexImage(np.where(self._bits, y.re, np.float32(0)),
-                              np.where(self._bits, y.im, np.float32(0)))
-        return ifft2(masked)
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        _check(y, self.out_shape, "mf_adjoint")
+        return ifft2(np.where(self._bits, y, np.float32(0)))
 
 
 class BoxDownsampleOperator(LinearOperator):
@@ -78,29 +68,20 @@ class BoxDownsampleOperator(LinearOperator):
         self.in_shape = (height, width)
         self.out_shape = (height // 2, width // 2)
 
-    def apply(self, x: ComplexImage) -> ComplexImage:
-        if x.shape != self.in_shape:
-            raise ShapeError(f"box_apply: image {x.shape} vs {self.in_shape}")
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        _check(x, self.in_shape, "box_apply")
+        return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+                       + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
 
-        def down(p):
-            return 0.25 * (p[0::2, 0::2] + p[0::2, 1::2] + p[1::2, 0::2] + p[1::2, 1::2])
-
-        return ComplexImage(down(x.re), down(x.im))
-
-    def adjoint(self, y: ComplexImage) -> ComplexImage:
-        if y.shape != self.out_shape:
-            raise ShapeError(f"box_adjoint: image {y.shape} vs {self.out_shape}")
-
-        def up(p):
-            return np.repeat(np.repeat(p * np.float32(0.25), 2, axis=0), 2, axis=1)
-
-        return ComplexImage(up(y.re), up(y.im))
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        _check(y, self.out_shape, "box_adjoint")
+        return np.repeat(np.repeat(y * np.float32(0.25), 2, axis=1), 2, axis=2)
 
 
-def gradient_step(x: ComplexImage, y: ComplexImage, alpha: float,
-                  op: LinearOperator) -> ComplexImage:
+def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,
+                  op: LinearOperator) -> np.ndarray:
     """One data-consistency step: x + alpha * adjoint(y - apply(x))."""
-    return x + alpha * op.adjoint(y - op.apply(x))
+    return x + np.float32(alpha) * op.adjoint(y - op.apply(x))
 
 
 def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
@@ -126,14 +107,14 @@ def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
     return out
 
 
-def data_residual_sq(x_var: Variable, op: LinearOperator, y: ComplexImage,
+def data_residual_sq(x_var: Variable, op: LinearOperator, y: np.ndarray,
                      tape: Optional[Tape] = None) -> Variable:
     """Differentiable ||y - apply(x)||^2 for the per-iteration consistency cost."""
-    resid = y - op.apply(ComplexImage.from_channels(x_var.value))
+    resid = y - op.apply(x_var.value)
     val = norm(resid) ** 2
     out = Variable(np.float32(val))
     if tape is not None:
-        pull = op.adjoint(resid).to_channels()
+        pull = op.adjoint(resid)
         tape.record(out, [(x_var, lambda g: np.float32(-2) * pull * g)])
     return out
 
@@ -142,14 +123,14 @@ def power_iteration(op: LinearOperator, iters: int = 50, seed: int = 0) -> float
     """Estimate the operator norm ||op|| via power iteration on adjoint(apply(.))."""
     rng = np.random.default_rng(seed)
     h, w = op.in_shape
-    v = ComplexImage(rng.standard_normal((h, w)).astype(np.float32),
-                     rng.standard_normal((h, w)).astype(np.float32))
+    v = np.stack((rng.standard_normal((h, w)).astype(np.float32),
+                  rng.standard_normal((h, w)).astype(np.float32)))
     lam = 0.0
     for _ in range(iters):
         nv = norm(v)
         if nv == 0:
             return 0.0
-        v = v * (1.0 / nv)
+        v = v * np.float32(1.0 / nv)
         v = op.adjoint(op.apply(v))
         lam = norm(v)
     return float(np.sqrt(lam))

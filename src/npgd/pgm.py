@@ -57,6 +57,8 @@ def _tokenize_header(blob: bytes, path):
                     rng = (float(m.group(1)), float(m.group(2)))
                 except ValueError:
                     raise FormatError(f"{path}: malformed PGM range comment") from None
+                if not np.all(np.isfinite(rng)):
+                    raise FormatError(f"{path}: non-finite PGM range {rng[0]} {rng[1]}")
             pos = eol + 1
         else:
             end = pos
@@ -80,6 +82,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise FormatError(f"{path}: malformed PGM header") from None
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: PGM size {w}x{h} is not positive")
     if maxval <= 0 or maxval > 65535:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
     if magic == b"P2":

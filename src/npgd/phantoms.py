@@ -12,7 +12,6 @@ from typing import List
 
 import numpy as np
 
-from .core import ComplexImage
 from .errors import ParameterError
 
 
@@ -45,7 +44,8 @@ def _ellipse(u, v, rng, spec):
     return amp * np.clip((1.0 - m) / 0.3, 0.0, 1.0)
 
 
-def generate_phantom(size: int, spec: PhantomSpec, rng: np.random.Generator) -> ComplexImage:
+def generate_phantom(size: int, spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
+    """One (2, size, size) phantom; the imaginary plane is zero without phase."""
     spec.validate()
     ax = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     u, v = np.meshgrid(ax, ax, indexing="ij")
@@ -54,15 +54,14 @@ def generate_phantom(size: int, spec: PhantomSpec, rng: np.random.Generator) -> 
     for _ in range(n):
         mag += _ellipse(u, v, rng, spec)
     mag = np.clip(mag, 0.0, 1.0)
+    phi = 0.0
     if spec.phase:
         c = rng.uniform(-1.0, 1.0, size=3)
         phi = (c[0] * u + c[1] * v + c[2] * u * v) * (np.pi / 3.0)
-        return ComplexImage((mag * np.cos(phi)).astype(np.float32),
-                            (mag * np.sin(phi)).astype(np.float32))
-    return ComplexImage(mag.astype(np.float32), np.zeros((size, size), np.float32))
+    return np.stack((mag * np.cos(phi), mag * np.sin(phi))).astype(np.float32)
 
 
-def generate_dataset(count: int, size: int, spec: PhantomSpec, seed: int) -> List[ComplexImage]:
+def generate_dataset(count: int, size: int, spec: PhantomSpec, seed: int) -> List[np.ndarray]:
     if count < 1:
         raise ParameterError(f"dataset needs at least one image, got {count}")
     rng = np.random.default_rng(seed)

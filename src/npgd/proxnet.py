@@ -25,7 +25,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Variable
-from .core import ComplexImage
 from .errors import ConfigError, ContractError, ShapeError, UnsupportedConfigError
 
 ARCHS = ("resnet", "chain")
@@ -272,17 +271,7 @@ def build(config: ProximalConfig, seed: int = 0,
     return net
 
 
-def forward(net: ProximalNet, x: Union[ComplexImage, np.ndarray],
-            tape: Optional[Tape] = None) -> Variable:
-    """Module-level forward; accepts a ComplexImage or a (2, H, W) stack."""
-    if isinstance(x, ComplexImage):
-        x = x.to_channels()
-    return net.forward(x, tape)
-
-
-def capture_masks(net: ProximalNet, x: Union[ComplexImage, np.ndarray]) -> MaskSnapshot:
-    """Run the net on x and record every gate's mask D(z)."""
-    if isinstance(x, ComplexImage):
-        x = x.to_channels()
+def capture_masks(net: ProximalNet, x: np.ndarray) -> MaskSnapshot:
+    """Run the net on a (2, H, W) input and record every gate's mask D(z)."""
     _, snap = net.forward_and_masks(np.asarray(x, np.float32))
     return snap

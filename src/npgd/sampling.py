@@ -153,6 +153,8 @@ def load_mask_bits(path) -> SamplingMask:
     if len(blob) < 16:
         raise CorruptionError(f"{path}: truncated bitmask header")
     height, width = struct.unpack("<II", blob[8:16])
+    if height == 0 or width == 0:
+        raise FormatError(f"{path}: bitmask size {height}x{width} is empty")
     nbytes = (height * width + 7) // 8
     payload = blob[16:]
     if len(payload) != nbytes:

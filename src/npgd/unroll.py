@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Variable, backward
-from .core import ComplexImage, norm
+from .core import norm
 from .checkpoint import Checkpoint
 from .errors import NumericsError, ParameterError
 from .operators import LinearOperator, data_residual_sq, gradient_step_channels
@@ -81,7 +81,7 @@ class Trajectory:
         return self.x[-1]
 
 
-def unrolled_forward(net: ProximalNet, op: LinearOperator, y: ComplexImage,
+def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
                      iterations: int, alpha: Union[float, Variable],
                      tape: Optional[Tape] = None) -> Trajectory:
     """Run T alternations of gradient step and proximal from x_0 = 0.
@@ -89,7 +89,7 @@ def unrolled_forward(net: ProximalNet, op: LinearOperator, y: ComplexImage,
     With a tape, the whole trajectory is differentiable through the shared
     weights and alpha.
     """
-    ahy = op.adjoint(y).to_channels()
+    ahy = op.adjoint(y)
     h, w = op.in_shape
     x_var = Variable(np.zeros((2, h, w), np.float32))
     s_list, x_list, x_vars = [], [], []
@@ -102,18 +102,17 @@ def unrolled_forward(net: ProximalNet, op: LinearOperator, y: ComplexImage,
     return Trajectory(s_list, x_list, x_vars if tape is not None else None)
 
 
-def loss_p1(traj: Trajectory, x_true: ComplexImage, y: ComplexImage,
+def loss_p1(traj: Trajectory, x_true: np.ndarray, y: np.ndarray,
             op: LinearOperator, beta: float, loss_kind: str = "l2",
             tape: Optional[Tape] = None) -> Tuple[Variable, float, float]:
     """Composite training cost; returns (total, terminal value, consistency value)."""
     if traj.x_vars is None:
         raise ParameterError("loss_p1 needs a trajectory built with a tape")
-    target = x_true.to_channels()
     x_t_var = traj.x_vars[-1]
     if loss_kind == "l1":
-        terminal = ag.smooth_l1_loss(x_t_var, target, tape=tape)
+        terminal = ag.smooth_l1_loss(x_t_var, x_true, tape=tape)
     else:
-        terminal = ag.mse_loss(x_t_var, target, tape=tape)
+        terminal = ag.mse_loss(x_t_var, x_true, tape=tape)
     consistency = None
     for xv in traj.x_vars:
         r = data_residual_sq(xv, op, y, tape)
@@ -193,11 +192,11 @@ class TrainResult:
             adam_step=self.optimizer.step_count, seed=seed, epoch=self.epochs_run)
 
 
-def train(dataset: Sequence[ComplexImage],
+def train(dataset: Sequence[np.ndarray],
           op_factory: Callable[[int], LinearOperator],
           unroll_cfg: UnrollConfig, train_cfg: TrainConfig,
           prox_cfg: ProximalConfig,
-          measurements: Optional[Sequence[ComplexImage]] = None,
+          measurements: Optional[Sequence[np.ndarray]] = None,
           net: Optional[ProximalNet] = None,
           alpha_var: Optional[Variable] = None,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
@@ -280,8 +279,8 @@ def write_trace_csv(rows: Sequence[tuple], path) -> None:
 
 
 def reconstruct(net: ProximalNet, alpha: float, op: LinearOperator,
-                y: ComplexImage, iterations: int) -> Tuple[ComplexImage, List[float]]:
+                y: np.ndarray, iterations: int) -> Tuple[np.ndarray, List[float]]:
     """Inference pass; returns x_T and the per-iteration residuals ||y - apply(x_t)||."""
     traj = unrolled_forward(net, op, y, iterations, alpha)
-    residuals = [norm(y - op.apply(ComplexImage.from_channels(x))) for x in traj.x]
-    return ComplexImage.from_channels(traj.final), residuals
+    residuals = [norm(y - op.apply(x)) for x in traj.x]
+    return traj.final, residuals

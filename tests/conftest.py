@@ -9,7 +9,6 @@ split parts through unchanged, and the last 1x1 conv recombines them.
 import numpy as np
 import pytest
 
-from npgd.core import ComplexImage
 from npgd.proxnet import ProximalConfig, build
 from npgd.sampling import SamplingMask
 
@@ -40,10 +39,11 @@ def make_identity_resnet(feature_maps=4, num_res_blocks=1):
 
 
 def random_complex_image(h, w, seed=0, scale=1.0):
+    """(2, h, w) image with standard normal real and imaginary planes."""
     rng = np.random.default_rng(seed)
-    return ComplexImage(
+    return np.stack((
         (scale * rng.standard_normal((h, w))).astype(np.float32),
-        (scale * rng.standard_normal((h, w))).astype(np.float32))
+        (scale * rng.standard_normal((h, w))).astype(np.float32)))
 
 
 def nonzero_complex_image(h, w, seed=0):
@@ -51,7 +51,7 @@ def nonzero_complex_image(h, w, seed=0):
     rng = np.random.default_rng(seed)
     re = rng.uniform(0.1, 1.0, (h, w)) * rng.choice([-1.0, 1.0], (h, w))
     im = rng.uniform(0.1, 1.0, (h, w)) * rng.choice([-1.0, 1.0], (h, w))
-    return ComplexImage(re.astype(np.float32), im.astype(np.float32))
+    return np.stack((re, im)).astype(np.float32)
 
 
 def full_mask(h, w):

@@ -4,9 +4,9 @@ import pytest
 from npgd.baselines import (CsConfig, cs_objective, default_lambda_grid, fista,
                             haar2_forward, haar2_inverse, ista, nesterov_next_t,
                             soft_threshold, tune_lambda)
-from npgd.core import ComplexImage, ifft2, norm
+from npgd.core import ifft2, norm
 from npgd.errors import DimensionError, ParameterError, SolverError
-from npgd.operators import LinearOperator, MaskedFourierOperator
+from npgd.operators import LinearOperator, MaskedFourierOperator, gradient_step
 from npgd.sampling import generate_vardens_mask
 
 from conftest import full_mask, random_complex_image
@@ -54,21 +54,41 @@ def test_haar_orthonormal_and_invertible():
     assert norm(haar2_inverse(c, 2) - x) <= 1e-5 * norm(x)
 
 
+def test_haar_round_trip_non_square():
+    for i, (h, w) in enumerate(((16, 32), (32, 16), (32, 8))):
+        x = random_complex_image(h, w, seed=20 + i)
+        c = haar2_forward(x, 2)
+        assert c.shape == (2, h, w)
+        assert norm(haar2_inverse(c, 2) - x) <= 1e-5 * norm(x)
+        # each plane matches the one-level oracle, with the row and column
+        # matrices sized by their own axis
+        one = haar2_forward(x, 1)
+        rows = _haar_matrix_one_level(h)
+        cols = _haar_matrix_one_level(w)
+        for p in range(2):
+            assert np.allclose(one[p], rows @ x[p] @ cols.T, atol=1e-5)
+
+
 def test_haar_rejects_indivisible():
     with pytest.raises(DimensionError):
         haar2_forward(np.zeros((12, 16), np.float32), 3)
 
 
+def _real(v):
+    """A one-pixel (2, 1, 1) image with real part v and a zero imaginary plane."""
+    return np.array([[[v]], [[0.0]]], np.float32)
+
+
 def test_soft_threshold_scalars():
-    assert soft_threshold(np.array([1.5]), 1.0)[0] == pytest.approx(0.5)
-    assert soft_threshold(np.array([-0.3]), 0.5)[0] == pytest.approx(0.0)
+    assert soft_threshold(_real(1.5), 1.0)[0, 0, 0] == pytest.approx(0.5)
+    assert soft_threshold(_real(-0.3), 0.5)[0, 0, 0] == pytest.approx(0.0)
 
 
 def test_soft_threshold_complex_magnitude():
-    v = ComplexImage(np.array([[3.0]], np.float32), np.array([[4.0]], np.float32))
+    v = np.array([[[3.0]], [[4.0]]], np.float32)
     out = soft_threshold(v, 1.0)  # magnitude 5 shrinks to 4
-    assert out.re[0, 0] == pytest.approx(2.4, rel=1e-6)
-    assert out.im[0, 0] == pytest.approx(3.2, rel=1e-6)
+    assert out[0, 0, 0] == pytest.approx(2.4, rel=1e-6)
+    assert out[1, 0, 0] == pytest.approx(3.2, rel=1e-6)
 
 
 def test_soft_threshold_matches_bruteforce_prox():
@@ -76,7 +96,7 @@ def test_soft_threshold_matches_bruteforce_prox():
     for _ in range(1000):
         v = float(rng.uniform(-3, 3))
         lam = float(rng.uniform(0, 2))
-        got = float(soft_threshold(np.array([v], np.float32), lam)[0])
+        got = float(soft_threshold(_real(v), lam)[0, 0, 0])
         # brute-force refinement of argmin_u 0.5 (u - v)^2 + lam |u|
         lo, hi = -4.0, 4.0
         for _ in range(6):
@@ -158,6 +178,25 @@ def test_fista_lambda_zero_residual_vanishes():
     assert norm(op.apply(x) - y) <= 1e-4 * norm(y)
 
 
+def test_fista_matches_float32_reference_loop():
+    # nesterov_next_t returns float64; the momentum must scale the image in
+    # float32, which a plain float32 loop pins bit for bit
+    op = MaskedFourierOperator(generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 3))
+    y = op.apply(random_complex_image(16, 16, seed=7))
+    lam, levels = 0.02, 2
+    x_prev = z = np.zeros((2, 16, 16), np.float32)
+    t = 1.0
+    for _ in range(4):  # unit step: the operator norm is 1
+        u = haar2_forward(gradient_step(z, y, 1.0, op), levels)
+        x = haar2_inverse(soft_threshold(u, lam), levels)
+        t_next = nesterov_next_t(t)
+        z = x + np.float32((t - 1.0) / t_next) * (x - x_prev)
+        x_prev, t = x, t_next
+    got, _ = fista(y, op, CsConfig(lam=lam, iterations=4, solver="fista", levels=levels))
+    assert got.dtype == np.float32
+    assert np.array_equal(got, x_prev)
+
+
 def test_solver_divergence_detected():
     op = _AntiAdjointOperator(8)
     y = random_complex_image(8, 8, seed=7)
@@ -210,8 +249,8 @@ def test_default_lambda_grid_scales_with_peak():
     assert len(grid) == 8
     assert grid[0] < grid[-1]
     c = haar2_forward(op.adjoint(y), 2)
-    peak = float(np.sqrt(c.re.astype(np.float64) ** 2
-                         + c.im.astype(np.float64) ** 2).max())
+    peak = float(np.sqrt(c[0].astype(np.float64) ** 2
+                         + c[1].astype(np.float64) ** 2).max())
     assert grid[0] == pytest.approx(1e-4 * peak, rel=1e-9)
     assert grid[-1] == pytest.approx(1e-1 * peak, rel=1e-9)
 

@@ -7,6 +7,7 @@ import pytest
 from npgd.checkpoint import _Writer
 from npgd.cli import main
 from npgd.config import parse_config_text, parse_sweep_grid
+from npgd.core import magnitude
 from npgd.errors import ConfigError
 from npgd.pgm import read_pgm, write_pgm16
 from npgd.phantoms import PhantomSpec, generate_dataset
@@ -168,17 +169,18 @@ def test_phantoms_deterministic_and_bounded():
     a = generate_dataset(5, 32, PhantomSpec(), seed=9)
     b = generate_dataset(5, 32, PhantomSpec(), seed=9)
     for xa, xb in zip(a, b):
-        assert np.array_equal(xa.re, xb.re) and np.array_equal(xa.im, xb.im)
+        assert np.array_equal(xa, xb)
     for x in a:
-        assert x.magnitude().max() <= 1.0 + 1e-6
-        assert not x.im.any()  # no phase by default
+        assert x.shape == (2, 32, 32) and x.dtype == np.float32
+        assert magnitude(x).max() <= 1.0 + 1e-6
+        assert not x[1].any()  # no phase by default
 
 
 def test_phantoms_with_phase_are_complex():
     spec = PhantomSpec(phase=True)
     x = generate_dataset(1, 32, spec, seed=10)[0]
-    assert np.abs(x.im).max() > 0
-    assert x.magnitude().max() <= 1.0 + 1e-5
+    assert np.abs(x[1]).max() > 0
+    assert magnitude(x).max() <= 1.0 + 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +336,31 @@ def test_data_dir_ingestion(tmp_path):
     from npgd.experiment import load_image_dir
     images = load_image_dir(str(data_dir), 16)
     assert len(images) == 8
-    assert images[0].shape == (16, 16)
+    assert images[0].shape == (2, 16, 16)
     # plain grayscale files (no _re/_im suffix) load with zero imaginary part
     lone = tmp_path / "lone"
     lone.mkdir()
     write_pgm16(lone / "photo.pgm", np.random.default_rng(3).uniform(0, 1, (20, 12)))
     loaded = load_image_dir(str(lone), 16)
     assert len(loaded) == 1
-    assert loaded[0].shape == (16, 16)
-    assert not loaded[0].im.any()
+    assert loaded[0].shape == (2, 16, 16)
+    assert not loaded[0][1].any()
+
+
+@pytest.mark.parametrize("files", [
+    {"a_im.pgm": (16, 16)},                                 # no a_re.pgm
+    {"a_re.pgm": (16, 16), "a_im.pgm": (16, 8)},            # planes differ in shape
+], ids=["im-without-re", "re-im-shape-mismatch"])
+def test_data_dir_bad_pairs_exit_2(tmp_path, capsys, files):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, shape in files.items():
+        write_pgm16(data / name, np.zeros(shape, np.float32))
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"data_dir = {data}\n")
+    assert main(["gendata", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert "a_" in err and "Traceback" not in err
 
 
 TINY_CHAIN = """
@@ -388,7 +406,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     from npgd import checkpoint
     from npgd.config import parse_config
     from npgd.contraction import debias
-    from npgd.core import ComplexImage, norm
+    from npgd.core import norm
     from npgd.experiment import build_dataset, build_operator, split_dataset
     from npgd.operators import gradient_step
     from npgd.proxnet import capture_masks
@@ -399,7 +417,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     op, _ = build_operator(cfg)
     for i, x_true in enumerate(test_set):
         y = op.apply(x_true)
-        x_t = ComplexImage.from_channels(unrolled_forward(net, op, y, 3, alpha).final)
+        x_t = unrolled_forward(net, op, y, 3, alpha).final
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
         res = debias(net, masks, op, alpha, y, x_t)
         assert lines[1 + i] == (
@@ -460,7 +478,12 @@ def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
 @pytest.mark.parametrize("blob, code", [
     (b"P2\n2 1\n255\n1 x\n", 1),                            # CorruptionError
     (b"P5\n# range a b\n1 1\n255\n\0", 2),                  # FormatError
-], ids=["p2-non-numeric-sample", "range-comment-not-numbers"])
+    (b"P5\n# range nan inf\n1 1\n255\n\0", 2),
+    (b"P5\n-8 -8\n255\n\0", 2),
+    (b"P2\n-8 -8\n255\n1\n", 2),
+    (b"P5\n0 4\n255\n", 2),
+], ids=["p2-non-numeric-sample", "range-comment-not-numbers", "range-not-finite",
+        "p5-negative-size", "p2-negative-size", "p5-zero-width"])
 def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
     data = tmp_path / "data"
     data.mkdir()

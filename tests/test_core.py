@@ -1,54 +1,70 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 
-from npgd.core import ComplexImage, axpy, dot, fft2, ifft2, norm
+from npgd.core import ComplexImage, dot, fft2, ifft2, magnitude, norm
 from npgd.errors import DimensionError, ShapeError
 
 from conftest import random_complex_image
 
 
 def test_fft2_delta_becomes_flat_spectrum():
-    x = ComplexImage.zeros(4, 4)
-    x.re[0, 0] = 1.0
+    x = np.zeros((2, 4, 4), np.float32)
+    x[0, 0, 0] = 1.0
     f = fft2(x)
-    assert np.allclose(f.re, 0.25, atol=1e-6)
-    assert np.allclose(f.im, 0.0, atol=1e-6)
+    assert f.shape == (2, 4, 4) and f.dtype == np.float32
+    assert np.allclose(f[0], 0.25, atol=1e-6)
+    assert np.allclose(f[1], 0.0, atol=1e-6)
 
 
 def test_ifft2_constant_becomes_delta():
-    c = ComplexImage(np.full((4, 4), 0.25, np.float32), np.zeros((4, 4), np.float32))
+    c = np.stack((np.full((4, 4), 0.25, np.float32), np.zeros((4, 4), np.float32)))
     x = ifft2(c)
     expected = np.zeros((4, 4), np.float32)
     expected[0, 0] = 1.0
-    assert np.allclose(x.re, expected, atol=1e-6)
-    assert np.allclose(x.im, 0.0, atol=1e-6)
+    assert np.allclose(x[0], expected, atol=1e-6)
+    assert np.allclose(x[1], 0.0, atol=1e-6)
 
 
 def test_ifft2_zero_is_zero():
-    z = ifft2(ComplexImage.zeros(8, 8))
-    assert not z.re.any() and not z.im.any()
+    z = ifft2(np.zeros((2, 8, 8), np.float32))
+    assert not z.any()
 
 
 def test_fft_round_trip_all_sizes():
     for i, n in enumerate((4, 8, 16, 32, 64)):
         x = random_complex_image(n, n, seed=i)
         back = ifft2(fft2(x))
-        assert np.abs(back.re - x.re).max() < 1e-5
-        assert np.abs(back.im - x.im).max() < 1e-5
+        assert np.abs(back[0] - x[0]).max() < 1e-5
+        assert np.abs(back[1] - x[1]).max() < 1e-5
+
+
+def test_fft_round_trip_non_square():
+    for i, (h, w) in enumerate(((16, 32), (32, 8), (4, 64))):
+        x = random_complex_image(h, w, seed=i)
+        f = fft2(x)
+        assert f.shape == (2, h, w)
+        assert np.abs(ifft2(f) - x).max() < 1e-5
+        # a swapped H/W axis would not match numpy's own 2-D transform
+        want = np.fft.fft2(x[0] + 1j * x[1], norm="ortho")
+        assert np.abs(f[0] - want.real).max() < 1e-5
+        assert np.abs(f[1] - want.imag).max() < 1e-5
 
 
 def test_fft_inverse_other_order():
     x = random_complex_image(16, 16, seed=42)
     back = fft2(ifft2(x))
-    assert np.abs(back.re - x.re).max() < 1e-5
-    assert np.abs(back.im - x.im).max() < 1e-5
+    assert np.abs(back[0] - x[0]).max() < 1e-5
+    assert np.abs(back[1] - x[1]).max() < 1e-5
 
 
 def test_parseval_bulk():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        x = ComplexImage(rng.standard_normal((16, 16)).astype(np.float32),
-                         rng.standard_normal((16, 16)).astype(np.float32))
+        x = np.stack((rng.standard_normal((16, 16)).astype(np.float32),
+                      rng.standard_normal((16, 16)).astype(np.float32)))
         nx = norm(x)
         assert abs(norm(fft2(x)) - nx) <= 1e-5 * nx
 
@@ -64,38 +80,66 @@ def test_fft_linearity():
 
 
 def test_fft_rejects_non_power_of_two():
-    bad = ComplexImage.zeros(6, 8)
+    bad = np.zeros((2, 6, 8), np.float32)
     with pytest.raises(DimensionError, match="height"):
         fft2(bad)
     with pytest.raises(DimensionError, match="width"):
-        ifft2(ComplexImage.zeros(8, 12))
+        ifft2(np.zeros((2, 8, 12), np.float32))
 
 
-def test_dot_norm_axpy_basics():
+def test_dot_norm_basics():
     assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
     assert norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert np.allclose(axpy(2.0, np.array([1.0, 1.0]), np.array([0.0, 3.0])),
-                       [2.0, 5.0])
 
 
 def test_dot_complex_image_stacks_planes():
-    a = ComplexImage(np.array([[1.0]], np.float32), np.array([[2.0]], np.float32))
-    b = ComplexImage(np.array([[3.0]], np.float32), np.array([[4.0]], np.float32))
+    a = np.array([[[1.0]], [[2.0]]], np.float32)
+    b = np.array([[[3.0]], [[4.0]]], np.float32)
     assert dot(a, b) == pytest.approx(1 * 3 + 2 * 4)
     assert norm(a) == pytest.approx(np.sqrt(5.0))
+    assert magnitude(b)[0, 0] == 5.0
 
 
 def test_shape_mismatches_raise():
     with pytest.raises(ShapeError):
         dot(np.ones(3), np.ones(4))
-    with pytest.raises(ShapeError):
-        axpy(1.0, np.ones(3), np.ones(4))
+    for bad in (np.zeros((8, 8), np.float32), np.zeros((3, 8, 8), np.float32)):
+        with pytest.raises(ShapeError):
+            fft2(bad)
     with pytest.raises(ShapeError):
         ComplexImage(np.zeros((2, 2), np.float32), np.zeros((3, 2), np.float32))
 
 
+def test_complex_image_converts_layouts():
+    x = random_complex_image(4, 8, seed=3)
+    img = ComplexImage.from_channels(x)
+    assert np.array_equal(img.to_channels(), x)
+    z = img.to_complex()
+    assert z.dtype == np.complex64 and z.shape == (4, 8)
+    assert np.array_equal(ComplexImage.from_complex(z).to_channels(), x)
+
+
 def test_norm_is_zero_iff_zero():
-    z = ComplexImage.zeros(8, 8)
+    z = np.zeros((2, 8, 8), np.float32)
     assert norm(z) == 0.0
-    z.im[3, 3] = 1e-3
+    z[1, 3, 3] = 1e-3
     assert norm(z) > 0.0
+
+
+def test_only_core_names_complex_image():
+    # the (2, H, W) array is the one image layout inside the package;
+    # ComplexImage only converts to and from complex arrays
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "npgd")
+    offenders = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name in ("core.py", "__init__.py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            ident = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or (node.name if isinstance(node, ast.alias) else None))
+            if ident == "ComplexImage":
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

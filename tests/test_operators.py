@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from npgd.core import ComplexImage, dot, fft2, ifft2, norm
+from npgd.core import dot, fft2, ifft2, norm
 from npgd.errors import DimensionError, ShapeError
 from npgd.operators import (BoxDownsampleOperator, MaskedFourierOperator,
                             data_residual_sq, gradient_step,
@@ -21,13 +21,13 @@ def test_full_mask_apply_is_fft():
     x = random_complex_image(8, 8, seed=1)
     f = fft2(x)
     y = op.apply(x)
-    assert np.array_equal(y.re, f.re) and np.array_equal(y.im, f.im)
+    assert np.array_equal(y, f)
 
 
 def test_empty_mask_apply_is_zero():
     op = MaskedFourierOperator(empty_mask(8, 8))
     y = op.apply(random_complex_image(8, 8, seed=2))
-    assert not y.re.any() and not y.im.any()
+    assert not y.any()
 
 
 def test_full_mask_adjoint_inverts():
@@ -39,8 +39,8 @@ def test_full_mask_adjoint_inverts():
 
 def test_adjoint_of_zero_is_zero():
     op = _random_op()
-    z = op.adjoint(ComplexImage.zeros(16, 16))
-    assert not z.re.any() and not z.im.any()
+    z = op.adjoint(np.zeros((2, 16, 16), np.float32))
+    assert not z.any()
 
 
 def test_masked_fourier_adjoint_identity_bulk():
@@ -53,6 +53,29 @@ def test_masked_fourier_adjoint_identity_bulk():
         assert abs(lhs - rhs) < 1e-5 * norm(x) * norm(y)
 
 
+def test_adjoint_identity_non_square():
+    ops = [_random_op(16, 32, seed=1), _random_op(32, 8, seed=2),
+           BoxDownsampleOperator(16, 32), BoxDownsampleOperator(32, 8)]
+    for trial, op in enumerate(ops):
+        x = random_complex_image(*op.in_shape, seed=3000 + trial)
+        y = random_complex_image(*op.out_shape, seed=4000 + trial)
+        assert op.apply(x).shape == (2,) + op.out_shape
+        assert op.adjoint(y).shape == (2,) + op.in_shape
+        assert abs(dot(op.apply(x), y) - dot(x, op.adjoint(y))) < 1e-5 * norm(x) * norm(y)
+
+
+def test_non_square_rejects_transposed_shape():
+    for op in (_random_op(16, 32), _random_op(32, 8),
+               BoxDownsampleOperator(16, 32), BoxDownsampleOperator(32, 8)):
+        h, w = op.in_shape
+        with pytest.raises(ShapeError):
+            op.apply(random_complex_image(w, h))
+        with pytest.raises(ShapeError):
+            op.adjoint(random_complex_image(op.out_shape[1], op.out_shape[0]))
+        with pytest.raises(ShapeError):
+            op.apply(random_complex_image(h, w)[0])
+
+
 def test_projection_idempotence():
     op = _random_op(seed=9)
     x = random_complex_image(16, 16, seed=5)
@@ -62,18 +85,18 @@ def test_projection_idempotence():
 
 
 def test_box_block_mean():
-    x = ComplexImage(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32),
-                     np.zeros((2, 2), np.float32))
+    x = np.stack((np.array([[1.0, 2.0], [3.0, 4.0]], np.float32),
+                  np.zeros((2, 2), np.float32)))
     y = BoxDownsampleOperator(2, 2).apply(x)
-    assert y.re[0, 0] == pytest.approx(2.5)
+    assert y[0, 0, 0] == pytest.approx(2.5)
 
 
 def test_box_constant_behavior():
     op = BoxDownsampleOperator(8, 8)
-    c = ComplexImage(np.full((8, 8), 3.0, np.float32), np.zeros((8, 8), np.float32))
-    assert np.allclose(op.apply(c).re, 3.0)
-    c_small = ComplexImage(np.full((4, 4), 3.0, np.float32), np.zeros((4, 4), np.float32))
-    assert np.allclose(op.adjoint(c_small).re, 0.75)  # c / 4
+    c = np.stack((np.full((8, 8), 3.0, np.float32), np.zeros((8, 8), np.float32)))
+    assert np.allclose(op.apply(c)[0], 3.0)
+    c_small = np.stack((np.full((4, 4), 3.0, np.float32), np.zeros((4, 4), np.float32)))
+    assert np.allclose(op.adjoint(c_small)[0], 0.75)  # c / 4
 
 
 def test_box_adjoint_identity():
@@ -114,9 +137,11 @@ def test_gradient_step_from_zero_is_scaled_zero_fill():
     op = _random_op(seed=12)
     y = op.apply(random_complex_image(16, 16, seed=7))
     alpha = 0.7
-    out = gradient_step(ComplexImage.zeros(16, 16), y, alpha, op)
+    out = gradient_step(np.zeros((2, 16, 16), np.float32), y, alpha, op)
     expected = op.adjoint(y) * alpha
     assert norm(out - expected) <= 1e-6 * max(norm(expected), 1.0)
+    # a float64 step size scales in float32, as every image stays float32
+    assert np.array_equal(gradient_step(np.zeros_like(y), y, np.float64(alpha), op), out)
 
 
 def test_gradient_step_full_mask_unit_alpha_solves():
@@ -162,18 +187,17 @@ def test_gradient_step_channels_matches_plain():
     x = random_complex_image(16, 16, seed=10)
     y = op.apply(random_complex_image(16, 16, seed=11))
     plain = gradient_step(x, y, 0.8, op)
-    taped = gradient_step_channels(Variable(x.to_channels()), 0.8, op,
-                                   op.adjoint(y).to_channels())
-    assert norm(ComplexImage.from_channels(taped.value) - plain) <= 1e-6 * norm(plain)
+    taped = gradient_step_channels(Variable(x), 0.8, op, op.adjoint(y))
+    assert norm(taped.value - plain) <= 1e-6 * norm(plain)
 
 
 def test_gradient_step_channels_alpha_gradient():
     # d/dalpha of sum((x + alpha * dir + c)^2) via tape vs finite differences
     from npgd import autograd as ag
     op = _random_op(seed=16)
-    x2 = random_complex_image(16, 16, seed=12).to_channels()
+    x2 = random_complex_image(16, 16, seed=12)
     y = op.apply(random_complex_image(16, 16, seed=13))
-    ahy = op.adjoint(y).to_channels()
+    ahy = op.adjoint(y)
     cot = np.random.default_rng(14).standard_normal(x2.shape).astype(np.float32)
 
     def value(a):
@@ -194,11 +218,11 @@ def test_data_residual_sq_value_and_gradient():
     op = _random_op(seed=17)
     x = random_complex_image(16, 16, seed=15)
     y = op.apply(random_complex_image(16, 16, seed=16))
-    xv = Variable(x.to_channels())
+    xv = Variable(x)
     tape = Tape()
     r = data_residual_sq(xv, op, y, tape)
     assert float(r.value) == pytest.approx(norm(y - op.apply(x)) ** 2, rel=1e-5)
     backward(tape, r)
     # analytic gradient is -2 adjoint(y - apply(x))
-    expected = -2.0 * op.adjoint(y - op.apply(x)).to_channels()
+    expected = -2.0 * op.adjoint(y - op.apply(x))
     assert np.linalg.norm(xv.grad - expected) <= 1e-5 * np.linalg.norm(expected)

@@ -7,7 +7,7 @@ from npgd.autograd import Variable
 from npgd.checkpoint import Checkpoint, deserialize, load, restore_net, save, serialize
 from npgd.errors import ConfigError, ContractError, CorruptionError, FormatError
 from npgd.proxnet import (MaskSnapshot, ProximalConfig, build, capture_masks,
-                          forward, parameter_count)
+                          parameter_count)
 
 from conftest import make_identity_resnet
 
@@ -176,14 +176,6 @@ def test_forward_frozen_signature_mismatch():
     snap = capture_masks(net_a, np.zeros((2, 8, 8), np.float32))
     with pytest.raises(ContractError):
         net_b.forward_frozen(np.zeros((2, 8, 8), np.float32), snap)
-
-
-def test_module_level_forward_accepts_complex_image():
-    from npgd.core import ComplexImage
-    net = build(ProximalConfig(feature_maps=4), seed=21)
-    img = ComplexImage(np.ones((8, 8), np.float32), np.zeros((8, 8), np.float32))
-    out = forward(net, img)
-    assert out.value.shape == (2, 8, 8)
 
 
 # ---------------------------------------------------------------------------

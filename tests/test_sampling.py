@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from npgd.errors import CorruptionError, DimensionError, FormatError, ParameterError
 from npgd.rng import Xorshift64Star
-from npgd.sampling import (generate_vardens_mask, load_mask_bits,
+from npgd.sampling import (BITMASK_MAGIC, generate_vardens_mask, load_mask_bits,
                            load_mask_pgm, save_mask_bits, save_mask_pgm)
 
 
@@ -101,6 +103,14 @@ def test_bitmask_format_errors(tmp_path):
     (tmp_path / "trunc.bits").write_bytes(blob[:-3])
     with pytest.raises(CorruptionError):
         load_mask_bits(tmp_path / "trunc.bits")
+
+
+@pytest.mark.parametrize("height, width", [(0, 16), (16, 0), (0, 0)])
+def test_bitmask_empty_size_rejected(tmp_path, height, width):
+    path = tmp_path / "empty.bits"
+    path.write_bytes(BITMASK_MAGIC + struct.pack("<II", height, width))
+    with pytest.raises(FormatError, match="empty"):
+        load_mask_bits(path)
 
 
 def test_mask_pgm_contents(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from npgd import autograd as ag
 from npgd.autograd import Tape, Variable, backward
-from npgd.core import ComplexImage, norm
+from npgd.core import norm
 from npgd.errors import NumericsError, ParameterError
 from npgd.operators import MaskedFourierOperator, gradient_step
 from npgd.phantoms import PhantomSpec, generate_dataset
@@ -25,7 +25,7 @@ def test_t1_is_proximal_of_scaled_zero_fill():
     y = op.apply(random_complex_image(16, 16, seed=3))
     alpha = 0.8
     traj = unrolled_forward(net, op, y, 1, alpha)
-    expected = net.forward(alpha * op.adjoint(y).to_channels()).value
+    expected = net.forward(alpha * op.adjoint(y)).value
     assert np.allclose(traj.final, expected, atol=1e-6)
 
 
@@ -36,10 +36,10 @@ def test_identity_proximal_reproduces_plain_landweber():
     alpha = 0.9
     traj = unrolled_forward(net, op, y, 5, alpha)
     # independent re-implementation of the bare iteration
-    x = ComplexImage.zeros(16, 16)
+    x = np.zeros((2, 16, 16), np.float32)
     for t in range(5):
         x = gradient_step(x, y, alpha, op)
-        assert norm(ComplexImage.from_channels(traj.x[t]) - x) <= 1e-5 * max(norm(x), 1.0)
+        assert norm(traj.x[t] - x) <= 1e-5 * max(norm(x), 1.0)
 
 
 def test_identity_proximal_fixed_point_convergence():
@@ -48,10 +48,10 @@ def test_identity_proximal_fixed_point_convergence():
     x_star = random_complex_image(16, 16, seed=7)
     y = op.apply(x_star)
     traj = unrolled_forward(net, op, y, 8, 1.0)
-    residuals = [norm(y - op.apply(ComplexImage.from_channels(x))) for x in traj.x]
+    residuals = [norm(y - op.apply(x)) for x in traj.x]
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-6
-    errs = [norm(ComplexImage.from_channels(x) - x_star) for x in traj.x]
+    errs = [norm(x - x_star) for x in traj.x]
     assert errs[-1] <= errs[0] + 1e-6
 
 
@@ -83,9 +83,8 @@ def test_loss_p1_perfect_trajectory_is_zero():
     x_true = random_complex_image(16, 16, seed=15)
     y = op.apply(x_true)
     tape = Tape()
-    x2 = x_true.to_channels()
-    perfect = Trajectory(s=[x2] * 3, x=[x2] * 3,
-                         x_vars=[Variable(x2) for _ in range(3)])
+    perfect = Trajectory(s=[x_true] * 3, x=[x_true] * 3,
+                         x_vars=[Variable(x_true) for _ in range(3)])
     total, term, cons = loss_p1(perfect, x_true, y, op, beta=0.75, tape=tape)
     assert float(total.value) == pytest.approx(0.0, abs=1e-8)
     assert term == pytest.approx(0.0, abs=1e-9)
@@ -100,8 +99,7 @@ def test_loss_p1_beta_zero_matches_hand_computation():
     tape = Tape()
     traj = unrolled_forward(net, op, y, 2, 1.0, tape)
     total, _, _ = loss_p1(traj, x_true, y, op, beta=0.0, tape=tape)
-    byhand = sum(norm(y - op.apply(ComplexImage.from_channels(x))) ** 2
-                 for x in traj.x)
+    byhand = sum(norm(y - op.apply(x)) ** 2 for x in traj.x)
     assert float(total.value) == pytest.approx(byhand, rel=1e-5)
 
 
@@ -184,10 +182,10 @@ def test_reconstruct_deterministic_and_zero_input():
     y = op.apply(random_complex_image(16, 16, seed=39))
     a, res_a = reconstruct(net, 1.0, op, y, 3)
     b, res_b = reconstruct(net, 1.0, op, y, 3)
-    assert np.array_equal(a.to_channels(), b.to_channels())
+    assert np.array_equal(a, b)
     assert res_a == res_b
     # zero measurement with zero biases keeps the whole trajectory at zero
-    x0, _ = reconstruct(net, 1.0, op, ComplexImage.zeros(16, 16), 3)
+    x0, _ = reconstruct(net, 1.0, op, np.zeros((2, 16, 16), np.float32), 3)
     assert norm(x0) == 0.0
 
 

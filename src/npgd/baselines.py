@@ -1,6 +1,11 @@
 """Compressed-sensing wavelet baseline: orthonormal Haar pyramid,
 magnitude soft-thresholding, ISTA and FISTA solvers.
 
+Everything here takes one (2, H, W) image or an (N, 2, H, W) stack, and a
+stack is solved as one batch: each image has its own lambda, its own
+objective trace and its own divergence check, and its iterates are bit for
+bit those of solving it alone.
+
 The solvers minimize 0.5 * ||y - apply(x)||^2 + lambda * ||W x||_1 where W
 is the per-channel Haar transform and the l1 norm sums complex coefficient
 magnitudes, so the proximal map is exact magnitude shrinkage and the ISTA
@@ -11,7 +16,7 @@ have norm <= 1; this is verified numerically at solver startup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,37 +56,27 @@ def _check_divisible(h: int, w: int, levels: int) -> None:
         raise DimensionError(f"{h}x{w} not divisible by 2^{levels}")
 
 
-def _haar_level_fwd(a: np.ndarray) -> np.ndarray:
-    lo = (a[..., 0::2] + a[..., 1::2]) * _INV_SQRT2
-    hi = (a[..., 0::2] - a[..., 1::2]) * _INV_SQRT2
-    a = np.concatenate((lo, hi), axis=-1)
-    lo = (a[..., 0::2, :] + a[..., 1::2, :]) * _INV_SQRT2
-    hi = (a[..., 0::2, :] - a[..., 1::2, :]) * _INV_SQRT2
-    return np.concatenate((lo, hi), axis=-2)
-
-
-def _haar_level_inv(c: np.ndarray) -> np.ndarray:
-    h2 = c.shape[-2] // 2
-    lo, hi = c[..., :h2, :], c[..., h2:, :]
-    a = np.empty_like(c)
-    a[..., 0::2, :] = (lo + hi) * _INV_SQRT2
-    a[..., 1::2, :] = (lo - hi) * _INV_SQRT2
-    w2 = a.shape[-1] // 2
-    lo, hi = a[..., :w2], a[..., w2:]
-    out = np.empty_like(a)
-    out[..., 0::2] = (lo + hi) * _INV_SQRT2
-    out[..., 1::2] = (lo - hi) * _INV_SQRT2
-    return out
+def _pair(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """lo = (a + b) / sqrt(2) and hi = (a - b) / sqrt(2), written in place."""
+    np.add(a, b, out=lo)
+    lo *= _INV_SQRT2
+    np.subtract(a, b, out=hi)
+    hi *= _INV_SQRT2
 
 
 def haar2_forward(x: np.ndarray, levels: int) -> np.ndarray:
     """Orthonormal separable Haar pyramid over the last two axes, so the
-    planes of a (2, H, W) image are transformed independently."""
+    planes of a (2, H, W) image, or of every image of a stack, are
+    transformed independently. Each level's row pass goes to a scratch
+    buffer and its column pass straight back into the output."""
     out = np.array(x, np.float32, copy=True)
     h, w = out.shape[-2:]
     _check_divisible(h, w, levels)
+    rows = np.empty_like(out)
     for _ in range(levels):
-        out[..., :h, :w] = _haar_level_fwd(out[..., :h, :w])
+        a, r = out[..., :h, :w], rows[..., :h, :w]
+        _pair(a[..., 0::2], a[..., 1::2], r[..., :w // 2], r[..., w // 2:])
+        _pair(r[..., 0::2, :], r[..., 1::2, :], a[..., :h // 2, :], a[..., h // 2:, :])
         h //= 2
         w //= 2
     return out
@@ -92,8 +87,11 @@ def haar2_inverse(c: np.ndarray, levels: int) -> np.ndarray:
     _check_divisible(out.shape[-2], out.shape[-1], levels)
     h = out.shape[-2] >> (levels - 1)
     w = out.shape[-1] >> (levels - 1)
+    cols = np.empty_like(out)
     for _ in range(levels):
-        out[..., :h, :w] = _haar_level_inv(out[..., :h, :w])
+        a, r = out[..., :h, :w], cols[..., :h, :w]
+        _pair(a[..., :h // 2, :], a[..., h // 2:, :], r[..., 0::2, :], r[..., 1::2, :])
+        _pair(r[..., :w // 2], r[..., w // 2:], a[..., 0::2], a[..., 1::2])
         h *= 2
         w *= 2
     return out
@@ -103,23 +101,35 @@ def haar2_inverse(c: np.ndarray, levels: int) -> np.ndarray:
 # proximal map
 
 
-def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
-    """Proximal map of lam * ||.||_1 on a (2, H, W) image: each (re, im)
-    pair shrinks by its magnitude. With a zero imaginary plane this is the
-    real shrinkage sign(v) * max(|v| - lam, 0)."""
-    if lam < 0:
+def soft_threshold(v: np.ndarray, lam) -> np.ndarray:
+    """Proximal map of lam * ||.||_1 on a (2, H, W) image or an (N, 2, H, W)
+    stack: each (re, im) pair shrinks by its magnitude. lam is one
+    threshold, or one per image of a stack. With a zero imaginary plane this
+    is the real shrinkage sign(v) * max(|v| - lam, 0)."""
+    lam = np.asarray(lam, np.float64)
+    if np.any(lam < 0):
         raise ParameterError("threshold must be >= 0")
     mag = magnitude(v)
-    factor = (np.maximum(mag - lam, 0.0) /
+    factor = (np.maximum(mag - lam[..., None, None], 0.0) /
               np.maximum(mag, np.finfo(np.float64).tiny)).astype(np.float32)
-    return v * factor
+    return v * factor[..., None, :, :]
 
 
 def cs_objective(x: np.ndarray, y: np.ndarray, op: LinearOperator,
-                 lam: float, levels: int) -> Tuple[float, float, float]:
-    data = 0.5 * norm(y - op.apply(x)) ** 2
-    l1 = lam * float(np.sum(magnitude(haar2_forward(x, levels))))
-    return data + l1, data, l1
+                 lam, levels: int):
+    """(objective, data_term, l1_term) of a (2, H, W) image; for an
+    (N, 2, H, W) stack, with one lam per image, a list of one such triple
+    per image."""
+    stack = np.ndim(x) == 4
+    xs, ys, lams = (x, y, lam) if stack else (x[None], y[None], [lam])
+    resid = ys - op.apply(xs)
+    mags = magnitude(haar2_forward(xs, levels))
+    terms = []
+    for r, m, lam_i in zip(resid, mags, lams):
+        data = 0.5 * norm(r) ** 2
+        l1 = float(lam_i) * float(np.sum(m))
+        terms.append((data + l1, data, l1))
+    return terms if stack else terms[0]
 
 
 def _solver_step_size(op: LinearOperator) -> float:
@@ -128,28 +138,58 @@ def _solver_step_size(op: LinearOperator) -> float:
 
 
 def _prox_step(x: np.ndarray, y: np.ndarray, op: LinearOperator,
-               alpha: float, lam: float, levels: int) -> np.ndarray:
+               alpha: float, lam, levels: int) -> np.ndarray:
     u = gradient_step(x, y, alpha, op)
     return haar2_inverse(soft_threshold(haar2_forward(u, levels), alpha * lam), levels)
 
 
-def ista(y: np.ndarray, op: LinearOperator, cfg: CsConfig
-         ) -> Tuple[np.ndarray, List[Tuple[int, float, float, float]]]:
-    """Proximal gradient iterations from x = 0; trace rows are
-    (iter, objective, data_term, l1_term)."""
+def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
+           lams: Optional[Sequence[float]], momentum: bool):
+    """The one proximal-gradient loop behind ista (momentum off) and fista."""
     cfg.validate()
+    stack = np.ndim(y) == 4
+    ys = y if stack else y[None]
+    lams = np.full(len(ys), float(cfg.lam)) if lams is None else np.array(lams, np.float64)
+    if lams.shape != (len(ys),):
+        raise ParameterError(f"{lams.size} lambdas for {len(ys)} images")
+    if np.any(lams < 0):
+        raise ParameterError("lambda must be >= 0")
+    name = "FISTA" if momentum else "ISTA"
     alpha = _solver_step_size(op)
-    x = np.zeros((2,) + tuple(op.in_shape), np.float32)
-    start_obj = cs_objective(x, y, op, cfg.lam, cfg.levels)[0]
-    trace = []
+    x = np.zeros((len(ys), 2) + tuple(op.in_shape), np.float32)
+    z = x
+    t_k = 1.0
+    start = [row[0] for row in cs_objective(x, ys, op, lams, cfg.levels)]
+    traces = [[] for _ in ys]
     for it in range(1, cfg.iterations + 1):
-        x = _prox_step(x, y, op, alpha, cfg.lam, cfg.levels)
-        obj, data, l1 = cs_objective(x, y, op, cfg.lam, cfg.levels)
-        trace.append((it, obj, data, l1))
-        if start_obj > 0 and obj > 10.0 * start_obj:
-            raise SolverError(f"ISTA diverged at iteration {it} "
-                              f"(objective {obj:.3g} vs start {start_obj:.3g})")
-    return x, trace
+        x_next = _prox_step(z, ys, op, alpha, lams, cfg.levels)
+        if momentum:
+            t_next = nesterov_next_t(t_k)
+            # t_next is float64: cast, or the image would promote to float64
+            z = x_next + np.float32((t_k - 1.0) / t_next) * (x_next - x)
+            t_k = t_next
+        else:
+            z = x_next
+        x = x_next
+        for i, row in enumerate(cs_objective(x, ys, op, lams, cfg.levels)):
+            traces[i].append((it,) + row)
+            if start[i] > 0 and row[0] > 10.0 * start[i]:
+                where = f"image {i}, " if stack else ""
+                raise SolverError(f"{name} diverged at {where}iteration {it} "
+                                  f"(objective {row[0]:.3g} vs start {start[i]:.3g})")
+    return (x, traces) if stack else (x[0], traces[0])
+
+
+def ista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
+         lams: Optional[Sequence[float]] = None):
+    """Proximal gradient iterations from x = 0 on a (2, h, w) measurement,
+    or on an (N, 2, h, w) stack of them solved as one batch.
+
+    Each image uses cfg.lam, or its own entry of lams. Returns the estimate
+    and its trace rows (iter, objective, data_term, l1_term); for a stack,
+    the (N, 2, H, W) estimates and one trace per image.
+    """
+    return _solve(y, op, cfg, lams, momentum=False)
 
 
 def nesterov_next_t(t: float) -> float:
@@ -157,28 +197,11 @@ def nesterov_next_t(t: float) -> float:
     return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig
-          ) -> Tuple[np.ndarray, List[Tuple[int, float, float, float]]]:
-    """ISTA with Nesterov momentum starting from t_0 = 1."""
-    cfg.validate()
-    alpha = _solver_step_size(op)
-    x_prev = np.zeros((2,) + tuple(op.in_shape), np.float32)
-    z = x_prev
-    t_k = 1.0
-    start_obj = cs_objective(x_prev, y, op, cfg.lam, cfg.levels)[0]
-    trace = []
-    for it in range(1, cfg.iterations + 1):
-        x = _prox_step(z, y, op, alpha, cfg.lam, cfg.levels)
-        t_next = nesterov_next_t(t_k)
-        # t_next is float64: cast, or the image would promote to float64
-        z = x + np.float32((t_k - 1.0) / t_next) * (x - x_prev)
-        x_prev, t_k = x, t_next
-        obj, data, l1 = cs_objective(x, y, op, cfg.lam, cfg.levels)
-        trace.append((it, obj, data, l1))
-        if start_obj > 0 and obj > 10.0 * start_obj:
-            raise SolverError(f"FISTA diverged at iteration {it} "
-                              f"(objective {obj:.3g} vs start {start_obj:.3g})")
-    return x_prev, trace
+def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
+          lams: Optional[Sequence[float]] = None):
+    """ISTA with Nesterov momentum starting from t_0 = 1; same arguments
+    and results as :func:`ista`."""
+    return _solve(y, op, cfg, lams, momentum=True)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +231,19 @@ def tune_lambda(validation: Sequence[Tuple[np.ndarray, np.ndarray]],
     """
     if len(grid) == 0:
         raise ParameterError("lambda grid is empty")
+    if len(validation) == 0:
+        raise ParameterError("validation set is empty")
+    lams = sorted(set(float(g) for g in grid))
     solve = fista if cfg.solver == "fista" else ista
+    # one batch: every grid point times every validation measurement
+    ys = np.stack([y for _ in lams for _, y in validation])
+    xs, _ = solve(ys, op, cfg, lams=np.repeat(lams, len(validation)))
     table = []
     best_lam, best_snr = None, -np.inf
-    for lam in sorted(set(float(g) for g in grid)):
-        trial = CsConfig(lam=lam, iterations=cfg.iterations,
-                         solver=cfg.solver, levels=cfg.levels)
-        snrs = []
-        for x_true, y in validation:
-            xhat, _ = solve(y, op, trial)
-            snrs.append(snr_db(xhat, x_true))
-        mean_snr = float(np.mean(snrs))
+    for k, lam in enumerate(lams):
+        block = xs[k * len(validation):(k + 1) * len(validation)]
+        mean_snr = float(np.mean([snr_db(xhat, x_true)
+                                  for xhat, (x_true, _) in zip(block, validation)]))
         table.append((lam, mean_snr))
         if mean_snr > best_snr:
             best_lam, best_snr = lam, mean_snr

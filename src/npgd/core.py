@@ -2,7 +2,9 @@
 
 An image is a float32 (2, H, W) array: plane 0 holds the real part, plane 1
 the imaginary part. Operators, solvers, the proximal net, losses and
-metrics all take and return that one layout. Norms and inner products
+metrics all take and return that one layout; the FFT, the operators and
+the baseline solvers also take a stack of images with leading axes,
+(N, 2, H, W), and act on each image independently. Norms and inner products
 accumulate in float64 so that diagnostics built on them do not lose digits
 to cancellation. The FFT is unitary (1/sqrt(HW) both ways), which keeps
 every measurement operator built from a binary sampling mask at operator
@@ -24,9 +26,9 @@ def check_power_of_two(n: int, axis: str) -> None:
 
 
 def _check_planes(x: np.ndarray, what: str) -> None:
-    """Raise ShapeError unless x has the (2, H, W) image layout."""
-    if np.ndim(x) != 3 or np.shape(x)[0] != 2:
-        raise ShapeError(f"{what}: expected (2, H, W), got {np.shape(x)}")
+    """Raise ShapeError unless x ends in the (2, H, W) image layout."""
+    if np.ndim(x) < 3 or np.shape(x)[-3] != 2:
+        raise ShapeError(f"{what}: expected (..., 2, H, W), got {np.shape(x)}")
 
 
 @dataclass
@@ -83,22 +85,28 @@ def norm(a) -> float:
 
 
 def magnitude(x: np.ndarray) -> np.ndarray:
-    """Pixelwise |re + i im| of a (2, H, W) image, in float64. Round to
-    float32 where a stored image or an image metric expects float32."""
-    return np.sqrt(x[0].astype(np.float64) ** 2 + x[1].astype(np.float64) ** 2)
+    """Pixelwise |re + i im| of a (..., 2, H, W) image or stack, in float64
+    with the plane axis dropped. Round to float32 where a stored image or
+    an image metric expects float32."""
+    return np.sqrt(x[..., 0, :, :].astype(np.float64) ** 2
+                   + x[..., 1, :, :].astype(np.float64) ** 2)
 
 
 def _fft(x: np.ndarray, transform) -> np.ndarray:
     _check_planes(x, "fft")
-    check_power_of_two(x.shape[1], "height")
-    check_power_of_two(x.shape[2], "width")
-    f = transform(x[0].astype(np.complex64) + 1j * x[1].astype(np.complex64),
-                  norm="ortho")
-    return np.stack((f.real, f.imag)).astype(np.float32, copy=False)
+    check_power_of_two(x.shape[-2], "height")
+    check_power_of_two(x.shape[-1], "width")
+    z = np.empty(x.shape[:-3] + x.shape[-2:], np.complex64)
+    z.real = x[..., 0, :, :]
+    z.imag = x[..., 1, :, :]
+    # not out=z: numpy 2.4's ifft2 with out= returns wrong values
+    f = transform(z, norm="ortho")
+    return np.stack((f.real, f.imag), axis=-3)
 
 
 def fft2(x: np.ndarray) -> np.ndarray:
-    """Unitary 2D DFT of a (2, H, W) image. H and W must be powers of two."""
+    """Unitary 2D DFT of a (..., 2, H, W) image or stack, per image. H and W
+    must be powers of two."""
     return _fft(x, np.fft.fft2)
 
 

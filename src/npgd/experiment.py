@@ -47,21 +47,32 @@ def _center_crop_pad(plane: np.ndarray, size: int) -> np.ndarray:
 def load_image_dir(path: str, size: int) -> List[np.ndarray]:
     """Ingest a directory of PGMs as (2, size, size) images: paired
     *_re.pgm/*_im.pgm complex images or plain grayscale ones (imaginary
-    part zero), center-cropped/padded."""
+    part zero), center-cropped/padded. Extensions and the _re/_im tags
+    match in any case."""
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
     if not names:
         raise ParameterError(f"no PGM images found in {path}")
-    present = set(names)
+    by_lower = {}
+    for name in names:
+        by_lower.setdefault(name.lower(), []).append(name)
+
+    def partner(name: str, tag: str) -> Optional[str]:
+        found = by_lower.get(name[:-7].lower() + tag, [])
+        if len(found) > 1:
+            raise ParameterError(f"{' and '.join(found)} differ only in case")
+        return found[0] if found else None
+
     images = []
     for name in names:
-        if name.endswith("_im.pgm"):
-            if name[:-7] + "_re.pgm" not in present:
+        suffix = name[-7:].lower()
+        if suffix == "_im.pgm":
+            if partner(name, "_re.pgm") is None:
                 raise ParameterError(f"{name} has no matching _re.pgm")
             continue
         re_plane = read_pgm(os.path.join(path, name))
-        if name.endswith("_re.pgm"):
-            im_name = name[:-7] + "_im.pgm"
-            if im_name not in present:
+        if suffix == "_re.pgm":
+            im_name = partner(name, "_im.pgm")
+            if im_name is None:
                 raise ParameterError(f"{name} has no matching _im.pgm")
             im_plane = read_pgm(os.path.join(path, im_name))
             if im_plane.shape != re_plane.shape:
@@ -158,26 +169,26 @@ def _magnitude32(x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-              solve, threads: int = 1):
-    """Run solve(y) -> (estimate, extra) on every measurement and score each
-    estimate, next to the zero-filled adjoint(y), against its truth.
+              estimates: Sequence[np.ndarray]):
+    """Score the estimate of every (truth, measurement) pair, next to the
+    zero-filled adjoint(y), against its truth.
 
-    Returns the rows, the solver outputs and the zero-filled images.
+    Returns the rows and the zero-filled images.
     """
-    solved = _pmap(lambda pair: solve(pair[1]), pairs, threads)
     rows, zero_filled = [], []
-    for i, ((x_true, y), (xhat, _)) in enumerate(zip(pairs, solved)):
+    for i, ((x_true, y), xhat) in enumerate(zip(pairs, estimates)):
         zf = op.adjoint(y)
         zero_filled.append(zf)
         rows.append(EvalRow(i, snr_db(zf, x_true), snr_db(xhat, x_true),
                             ssim(_magnitude32(xhat), _magnitude32(x_true)),
                             nrmse(xhat, x_true)))
-    return rows, solved, zero_filled
+    return rows, zero_filled
 
 
 def evaluate_model(net, alpha: float, op: LinearOperator, iterations: int,
                    pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> List[EvalRow]:
-    return _evaluate(op, pairs, lambda y: reconstruct(net, alpha, op, y, iterations))[0]
+    estimates = [reconstruct(net, alpha, op, y, iterations)[0] for _, y in pairs]
+    return _evaluate(op, pairs, estimates)[0]
 
 
 def mean_snr(rows: Sequence[EvalRow]) -> float:
@@ -244,12 +255,16 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set)))
-    rows, solved, zero_filled = _evaluate(
-        op, pairs, lambda y: reconstruct(net, alpha, op, y, ck.unroll_t), cfg.threads)
+    solved = _pmap(lambda pair: reconstruct(net, alpha, op, pair[1], ck.unroll_t),
+                   pairs, cfg.threads)
+    rows, zero_filled = _evaluate(op, pairs, [xhat for xhat, _ in solved])
     for i, ((x_true, _), (xhat, _), zf) in enumerate(zip(pairs, solved, zero_filled)):
         write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), _magnitude32(xhat))
         write_pgm16(os.path.join(out_dir, f"zf_{i:04d}.pgm"), _magnitude32(zf))
         write_pgm16(os.path.join(out_dir, f"truth_{i:04d}.pgm"), _magnitude32(x_true))
+    write_csv(os.path.join(out_dir, "residuals.csv"), ("index", "t", "residual"),
+              [(i, t, r) for i, (_, residuals) in enumerate(solved)
+               for t, r in enumerate(residuals, start=1)])
     path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return {"metrics": path, "rows": rows,
             "mean_snr": mean_snr(rows),
@@ -273,8 +288,10 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
         if log is not None:
             log(f"tuned lambda = {best:.6g}")
     solve = fista if cs.solver == "fista" else ista
-    rows, solved, _ = _evaluate(op, pairs, lambda y: solve(y, op, cs), cfg.threads)
-    for i, (_, trace) in enumerate(solved):
+    # the held-out set is one batch; threads does not apply
+    estimates, traces = solve(np.stack([y for _, y in pairs]), op, cs)
+    rows, _ = _evaluate(op, pairs, estimates)
+    for i, trace in enumerate(traces):
         write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
                   ("iter", "objective", "data_term", "l1_term"), trace)
     path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)

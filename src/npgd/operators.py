@@ -18,7 +18,8 @@ from .sampling import SamplingMask
 
 
 class LinearOperator:
-    """apply/adjoint pair on (2, H, W) images."""
+    """apply/adjoint pair on (2, H, W) images, or on (N, 2, H, W) stacks of
+    them image by image."""
 
     in_shape: tuple
     out_shape: tuple
@@ -35,8 +36,9 @@ class LinearOperator:
 
 
 def _check(x: np.ndarray, hw: tuple, what: str) -> None:
-    if np.shape(x) != (2,) + tuple(hw):
-        raise ShapeError(f"{what}: image {np.shape(x)} vs expected {(2,) + tuple(hw)}")
+    """Raise ShapeError unless x ends in the (2, H, W) of one image."""
+    if np.shape(x)[-3:] != (2,) + tuple(hw):
+        raise ShapeError(f"{what}: image {np.shape(x)} vs expected (..., 2, {hw[0]}, {hw[1]})")
 
 
 class MaskedFourierOperator(LinearOperator):
@@ -70,12 +72,12 @@ class BoxDownsampleOperator(LinearOperator):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         _check(x, self.in_shape, "box_apply")
-        return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
-                       + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
+        return 0.25 * (x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
+                       + x[..., 1::2, 0::2] + x[..., 1::2, 1::2])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         _check(y, self.out_shape, "box_adjoint")
-        return np.repeat(np.repeat(y * np.float32(0.25), 2, axis=1), 2, axis=2)
+        return np.repeat(np.repeat(y * np.float32(0.25), 2, axis=-2), 2, axis=-1)
 
 
 def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,

@@ -134,14 +134,6 @@ class Adam:
         self.v = {k: np.zeros_like(v.value) for k, v in self.slots.items()}
         self.step_count = 0
 
-    def load_state(self, m, v, step_count):
-        for k in self.slots:
-            if k in m:
-                self.m[k] = m[k].astype(np.float32).reshape(self.m[k].shape)
-            if k in v:
-                self.v[k] = v[k].astype(np.float32).reshape(self.v[k].shape)
-        self.step_count = step_count
-
     def grad_norm(self) -> float:
         total = 0.0
         for var in self.slots.values():

@@ -6,7 +6,9 @@ from npgd.baselines import (CsConfig, cs_objective, default_lambda_grid, fista,
                             soft_threshold, tune_lambda)
 from npgd.core import ifft2, norm
 from npgd.errors import DimensionError, ParameterError, SolverError
-from npgd.operators import LinearOperator, MaskedFourierOperator, gradient_step
+from npgd.metrics import snr_db
+from npgd.operators import (BoxDownsampleOperator, LinearOperator,
+                            MaskedFourierOperator, gradient_step)
 from npgd.sampling import generate_vardens_mask
 
 from conftest import full_mask, random_complex_image
@@ -263,3 +265,117 @@ def test_cs_config_validation():
     with pytest.raises(ParameterError):
         CsConfig(solver="admm").validate()
     CsConfig(lam=0.0).validate()  # zero threshold = plain gradient descent
+
+
+# ---------------------------------------------------------------------------
+# stacks: one batched solve, each image bit-equal to solving it alone
+
+
+def _reference_solve(y, op, lam, levels, iterations, momentum):
+    """Plain float32 loop on one image at unit step (both operators here
+    have norm <= 1)."""
+    x_prev = z = np.zeros((2,) + op.in_shape, np.float32)
+    t = 1.0
+    for _ in range(iterations):
+        u = haar2_forward(gradient_step(z, y, 1.0, op), levels)
+        x = haar2_inverse(soft_threshold(u, lam), levels)
+        if momentum:
+            t_next = nesterov_next_t(t)
+            z = x + np.float32((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
+        else:
+            z = x
+        x_prev = x
+    return x_prev
+
+
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("task", ["fourier", "box"])
+def test_stack_matches_reference_loop_per_image(solver, n, task):
+    h, w, levels = 16, 32, 2
+    if task == "fourier":
+        op = MaskedFourierOperator(generate_vardens_mask(h, w, 0.4, 0.05, 3.0, 17))
+    else:
+        op = BoxDownsampleOperator(h, w)
+    truths = [random_complex_image(h, w, seed=70 + i) for i in range(n)]
+    ys = np.stack([op.apply(x) for x in truths])
+    lams = [0.01 * (i + 1) for i in range(n)]
+    cfg = CsConfig(iterations=6, solver=solver, levels=levels)
+    solve = fista if solver == "fista" else ista
+    xs, traces = solve(ys, op, cfg, lams=lams)
+    assert xs.shape == (n, 2, h, w) and xs.dtype == np.float32
+    assert len(traces) == n
+    for i in range(n):
+        ref = _reference_solve(ys[i], op, lams[i], levels, 6, solver == "fista")
+        assert np.array_equal(xs[i], ref)
+        alone_x, alone_trace = solve(ys[i], op, CsConfig(lam=lams[i], iterations=6,
+                                                         solver=solver, levels=levels))
+        assert alone_x.dtype == np.float32
+        assert np.array_equal(alone_x, ref)
+        assert traces[i] == alone_trace
+        assert traces[i][-1][1:] == cs_objective(ref, ys[i], op, lams[i], levels)
+
+
+def test_stack_with_one_diverging_image_raises():
+    op = _AntiAdjointOperator(8)
+    # image 0 is 100x larger, so its start objective is 10^4x image 1's
+    ys = np.stack([random_complex_image(8, 8, seed=80 + i, scale=100.0 if i == 0 else 1.0)
+                   for i in range(3)])
+    # a huge lambda shrinks every iterate to zero, so images 0 and 2 never
+    # leave their start objective; image 1 walks uphill, and is caught at
+    # the iteration where it is caught when solved alone
+    cfg = CsConfig(iterations=500, solver="ista", levels=2)
+    with pytest.raises(SolverError) as alone:
+        ista(ys[1], op, CsConfig(lam=0.01, iterations=500, solver="ista", levels=2))
+    iteration = str(alone.value).split("iteration ")[1].split()[0]
+    with pytest.raises(SolverError, match=f"image 1, iteration {iteration} "):
+        ista(ys, op, cfg, lams=[1e6, 0.01, 1e6])
+    ista(ys[[0, 2]], op, cfg, lams=[1e6, 1e6])  # no diverging image, no error
+
+
+def test_stack_lambda_count_and_sign_checked():
+    op = _IdentityOperator(8)
+    ys = np.stack([random_complex_image(8, 8, seed=90 + i) for i in range(2)])
+    cfg = CsConfig(iterations=2, solver="fista", levels=2)
+    with pytest.raises(ParameterError):
+        fista(ys, op, cfg, lams=[0.1])
+    with pytest.raises(ParameterError):
+        fista(ys, op, cfg, lams=[0.1, -0.1])
+
+
+def test_soft_threshold_per_image():
+    v = np.stack([random_complex_image(4, 4, seed=95 + i) for i in range(3)])
+    lams = [0.0, 0.5, 2.0]
+    got = soft_threshold(v, lams)
+    assert got.dtype == np.float32
+    for i, lam in enumerate(lams):
+        assert np.array_equal(got[i], soft_threshold(v[i], lam))
+    with pytest.raises(ParameterError):
+        soft_threshold(v, [0.1, -0.1, 0.1])
+
+
+def test_haar_stack_matches_each_image():
+    xs = np.stack([random_complex_image(16, 32, seed=97 + i) for i in range(3)])
+    c = haar2_forward(xs, 3)
+    back = haar2_inverse(c, 3)
+    for i in range(3):
+        assert np.array_equal(c[i], haar2_forward(xs[i], 3))
+        assert np.array_equal(back[i], haar2_inverse(c[i], 3))
+
+
+def test_tune_lambda_table_matches_separate_solves():
+    # the batched grid search scores each lambda on exactly the estimates
+    # of solving every validation image alone with that lambda
+    mask = generate_vardens_mask(16, 16, 0.3, 0.03, 3.0, 19)
+    op = MaskedFourierOperator(mask)
+    truths = [random_complex_image(16, 16, seed=110 + i) for i in range(3)]
+    val = [(x, op.apply(x)) for x in truths]
+    cfg = CsConfig(iterations=8, solver="fista", levels=2)
+    grid = [0.3, 0.003, 0.03]
+    _, table = tune_lambda(val, op, grid, cfg)
+    assert [lam for lam, _ in table] == sorted(grid)
+    for lam, mean_snr in table:
+        alone = CsConfig(lam=lam, iterations=8, solver="fista", levels=2)
+        snrs = [snr_db(fista(y, op, alone)[0], x) for x, y in val]
+        assert mean_snr == float(np.mean(snrs))

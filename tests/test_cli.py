@@ -363,6 +363,66 @@ def test_data_dir_bad_pairs_exit_2(tmp_path, capsys, files):
     assert "a_" in err and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("names", [("a_re.PGM", "a_im.PGM"), ("b_RE.pgm", "b_Im.Pgm")],
+                         ids=["upper-extension", "mixed-case-tags"])
+def test_data_dir_pairs_match_in_any_case(tmp_path, names):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(11)
+    planes = [rng.uniform(0, 1, (16, 16)) for _ in names]
+    for name, plane in zip(names, planes):
+        write_pgm16(data / name, plane)
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"data_dir = {data}\n")
+    out = tmp_path / "o"
+    assert main(["gendata", "--config", cfg_path, "--out", str(out)]) == 0
+    # one complex image, whose imaginary plane is the _im file (up to the
+    # 16-bit requantization of writing it again)
+    assert sorted(os.listdir(out)) == ["img_0000_im.pgm", "img_0000_re.pgm"]
+    for name, stem in zip(names, ("re", "im")):
+        assert np.allclose(read_pgm(out / f"img_0000_{stem}.pgm"),
+                           read_pgm(data / name), rtol=0, atol=2e-5)
+
+
+def test_data_dir_case_only_duplicates_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("a_re.pgm", "a_im.pgm", "A_IM.pgm"):
+        write_pgm16(data / name, np.zeros((16, 16), np.float32))
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"data_dir = {data}\n")
+    assert main(["gendata", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert "differ only in case" in err
+
+
+def test_reconstruct_writes_residuals(tmp_path):
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.npgd"
+    rec_cfg = _write(tmp_path / "r.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--config", rec_cfg, "--out", str(rec)]) == 0
+    lines = (rec / "residuals.csv").read_text().splitlines()
+    assert lines[0] == "index,t,residual"
+    # each row is ||y - A x_t|| of the unrolled iterate x_t of one held-out image
+    from npgd import checkpoint
+    from npgd.config import parse_config
+    from npgd.experiment import build_dataset, build_operator, split_dataset
+    from npgd.unroll import reconstruct
+    cfg = parse_config(rec_cfg)
+    net, alpha = checkpoint.restore_net(checkpoint.load(ckpt))
+    _, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
+    op, _ = build_operator(cfg)
+    expected = []
+    for i, x_true in enumerate(test_set):
+        _, residuals = reconstruct(net, alpha, op, op.apply(x_true), cfg.unroll_t)
+        expected += [f"{i},{t},{r:.9g}" for t, r in enumerate(residuals, start=1)]
+    assert len(expected) == 2 * 2
+    assert lines[1:] == expected
+
+
 TINY_CHAIN = """
 task = sr
 image_size = 16

@@ -143,3 +143,23 @@ def test_only_core_names_complex_image():
             if ident == "ComplexImage":
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_fft_stack_matches_each_image():
+    # a stack of images is transformed image by image, to the bit
+    xs = np.stack([random_complex_image(8, 16, seed=40 + i) for i in range(3)])
+    for transform in (fft2, ifft2):
+        got = transform(xs)
+        assert got.shape == (3, 2, 8, 16) and got.dtype == np.float32
+        for i in range(3):
+            assert np.array_equal(got[i], transform(xs[i]))
+    assert np.array_equal(magnitude(xs)[1], magnitude(xs[1]))
+
+
+def test_fft_stack_rejects_bad_trailing_shape():
+    for transform in (fft2, ifft2):
+        with pytest.raises(ShapeError):
+            transform(np.zeros((4, 3, 8, 8), np.float32))
+        for bad in ((4, 2, 8, 12), (4, 2, 12, 8)):
+            with pytest.raises(DimensionError):
+                transform(np.zeros(bad, np.float32))

@@ -226,3 +226,29 @@ def test_data_residual_sq_value_and_gradient():
     # analytic gradient is -2 adjoint(y - apply(x))
     expected = -2.0 * op.adjoint(y - op.apply(x))
     assert np.linalg.norm(xv.grad - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("op", [_random_op(8, 16, seed=3), BoxDownsampleOperator(8, 16)],
+                         ids=["fourier", "box"])
+def test_operators_act_on_stacks_image_by_image(op):
+    xs = np.stack([random_complex_image(8, 16, seed=60 + i) for i in range(3)])
+    ys = op.apply(xs)
+    assert ys.shape == (3, 2) + op.out_shape and ys.dtype == np.float32
+    back = op.adjoint(ys)
+    assert back.shape == xs.shape and back.dtype == np.float32
+    for i in range(3):
+        assert np.array_equal(ys[i], op.apply(xs[i]))
+        assert np.array_equal(back[i], op.adjoint(ys[i]))
+
+
+@pytest.mark.parametrize("op", [_random_op(8, 16, seed=3), BoxDownsampleOperator(8, 16)],
+                         ids=["fourier", "box"])
+def test_operators_reject_bad_stack_shapes(op):
+    h, w = op.in_shape
+    oh, ow = op.out_shape
+    for bad in ((4, 3, h, w), (4, 2, w, h), (4, 2, h, w + 2)):
+        with pytest.raises(ShapeError):
+            op.apply(np.zeros(bad, np.float32))
+    for bad in ((4, 3, oh, ow), (4, 2, ow, oh), (4, 2, oh + 2, ow)):
+        with pytest.raises(ShapeError):
+            op.adjoint(np.zeros(bad, np.float32))

@@ -30,8 +30,10 @@ class Variable:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # a copy, never g itself: add's VJP hands one array to both parents
+            self.grad = np.array(g, dtype=np.float32)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -163,19 +165,26 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
     c = v.shape[0]
     if gamma.value.shape != (c,) or beta.value.shape != (c,):
         raise ShapeError("instance_norm affine params must have shape (C,)")
+    n = v.shape[1] * v.shape[2]
     mean = v.mean(axis=(1, 2), keepdims=True)
-    var = v.var(axis=(1, 2), keepdims=True)
+    # centre once; the variance follows np.var's own order (square, sum, / n),
+    # so mean, var and xhat are bit-equal to v.mean, v.var and (v - mean) * inv_std
+    xhat = v - mean
+    var = np.square(xhat).sum(axis=(1, 2), keepdims=True) / n
     inv_std = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
-    xhat = (v - mean) * inv_std
+    xhat *= inv_std
     out = Variable(gamma.value[:, None, None] * xhat + beta.value[:, None, None])
     if tape is not None:
-        n = v.shape[1] * v.shape[2]
-
         def vjp_x(g):
-            dxhat = g * gamma.value[:, None, None]
-            sum_d = dxhat.sum(axis=(1, 2), keepdims=True)
-            sum_dx = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-            return (inv_std / n) * (n * dxhat - sum_d - xhat * sum_dx)
+            # inv_std/n * (n*dxhat - sum_d - xhat*sum_dx), updated in place
+            t = g * gamma.value[:, None, None]
+            sum_d = t.sum(axis=(1, 2), keepdims=True)
+            sum_dx = (t * xhat).sum(axis=(1, 2), keepdims=True)
+            t *= n
+            t -= sum_d
+            t -= xhat * sum_dx
+            t *= inv_std / n
+            return t
 
         tape.record(out, [
             (x, vjp_x),
@@ -200,6 +209,13 @@ def _im2col(v: np.ndarray, k: int) -> np.ndarray:
     win = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (sc, sh, sw, sh, sw),
                                           writeable=False)
     return np.ascontiguousarray(win).reshape(c * k * k, h * w)
+
+
+def _columns(v: np.ndarray, k: int) -> np.ndarray:
+    """The column matrix of v; a 1x1 kernel needs no im2col, since the
+    input itself is its column matrix."""
+    c, h, w = v.shape
+    return v.reshape(c, h * w) if k == 1 else _im2col(v, k)
 
 
 def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int) -> np.ndarray:
@@ -236,11 +252,11 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     _, h, w = v.shape
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d output would be empty for input {v.shape}")
-    # a 1x1 kernel needs no im2col: the input itself is the column matrix
-    cols = v.reshape(c_in, h * w) if k == 1 else _im2col(v, k)
     w2 = kv.reshape(c_out, -1)
-    out = Variable((w2 @ cols + bias.value[:, None]).reshape(c_out, h, w))
+    out = Variable((w2 @ _columns(v, k) + bias.value[:, None]).reshape(c_out, h, w))
     if tape is not None:
+        # the tape keeps the input, not its k*k times larger column matrix;
+        # only the kernel VJP needs the columns, and it rebuilds them
         def vjp_x(g):
             if k == 1:
                 return (w2.T @ g.reshape(c_out, -1)).reshape(c_in, h, w)
@@ -253,7 +269,7 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
             return _col2im(w2.T @ g.reshape(c_out, -1), c_in, h, w, k)
 
         def vjp_kernel(g):
-            return (cols @ g.reshape(c_out, -1).T).T.reshape(kv.shape)
+            return (_columns(v, k) @ g.reshape(c_out, -1).T).T.reshape(kv.shape)
 
         tape.record(out, [
             (x, vjp_x),

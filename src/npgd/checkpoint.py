@@ -28,7 +28,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, NumericsError
 from .proxnet import ProximalConfig, ProximalNet, build
 
 MAGIC = b"NPGD"
@@ -234,7 +234,9 @@ def load(path) -> Checkpoint:
 
 
 def restore_net(ck: Checkpoint) -> Tuple[ProximalNet, float]:
-    """Rebuild the proximal net from a checkpoint; returns (net, alpha)."""
+    """Rebuild the proximal net from a checkpoint; returns (net, alpha).
+
+    Rejects a parameter or step size that is not finite."""
     net = build(ck.prox, seed=0)
     expected = set(net.params)
     got = set(ck.params)
@@ -248,5 +250,9 @@ def restore_net(ck: Checkpoint) -> Tuple[ProximalNet, float]:
         if stored.shape != var.value.shape:
             raise FormatError(f"parameter {name}: shape {stored.shape} "
                               f"vs expected {var.value.shape}")
+        if not np.isfinite(stored).all():
+            raise NumericsError(f"checkpoint parameter {name} is not finite")
         var.value = stored.astype(np.float32)
+    if not math.isfinite(ck.alpha):
+        raise NumericsError(f"checkpoint step size alpha is not finite ({ck.alpha})")
     return net, float(ck.alpha)

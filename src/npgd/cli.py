@@ -12,6 +12,7 @@ runtime/numeric failure, 2 config/contract error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
@@ -45,7 +46,34 @@ def _resolve_out(args, cfg) -> str:
     return cfg.out_dir
 
 
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """On glibc, keep freed heap memory in the process.
+
+    A training step frees and reallocates the same multi-megabyte arrays
+    every sample. By default glibc serves such arrays with fresh mmaps, or
+    trims the heap top once they are freed, and the kernel then zero-fills
+    every page again. A fixed mmap threshold (32 MiB) and trim threshold
+    (1 GiB) keep those pages for reuse. Idempotent; skipped silently where
+    glibc's mallopt is missing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     log = lambda msg: print(msg, flush=True)
     try:

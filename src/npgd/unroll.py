@@ -184,6 +184,14 @@ class TrainResult:
             adam_step=self.optimizer.step_count, seed=seed, epoch=self.epochs_run)
 
 
+def _first_nonfinite(arrays: Dict[str, Optional[np.ndarray]]) -> Optional[str]:
+    """Name of the first array holding a NaN or infinity, else None."""
+    for name, arr in arrays.items():
+        if arr is not None and not np.isfinite(arr).all():
+            return name
+    return None
+
+
 def train(dataset: Sequence[np.ndarray],
           op_factory: Callable[[int], LinearOperator],
           unroll_cfg: UnrollConfig, train_cfg: TrainConfig,
@@ -196,7 +204,7 @@ def train(dataset: Sequence[np.ndarray],
 
     Deterministic given the seed: the per-epoch data order comes from one
     seeded generator, and all numerics are fixed-order. Aborts with a
-    diagnostic on a non-finite loss.
+    diagnostic on a non-finite loss, gradient, parameter or step size.
     """
     unroll_cfg.validate()
     train_cfg.validate()
@@ -239,7 +247,15 @@ def train(dataset: Sequence[np.ndarray],
                 term += term_v / len(batch)
                 cons += cons_v / len(batch)
             grad_norm = optimizer.grad_norm()
+            if not np.isfinite(grad_norm):
+                bad = _first_nonfinite({k: v.grad for k, v in optimizer.slots.items()})
+                raise NumericsError(f"non-finite gradient of {bad} at step {step} "
+                                    f"(lr={lr:.3g})")
             optimizer.step(lr)
+            bad = _first_nonfinite({k: v.value for k, v in optimizer.slots.items()})
+            if bad is not None:
+                raise NumericsError(f"non-finite {bad} after the update at step "
+                                    f"{step} (lr={lr:.3g}, grad_norm={grad_norm:.3g})")
             result.trace.append((step, epoch, lr, tot, term, cons,
                                  float(alpha_var.value), grad_norm))
             step += 1

@@ -2,7 +2,9 @@
 
 Criteria 4, 5, and 7 train real desk-scale models; the whole module runs
 in roughly 20-30 minutes single-threaded. Run with `pytest -v -s
-tests/test_acceptance.py` to watch the per-criterion lines.
+tests/test_acceptance.py` to watch the per-criterion lines. Every test
+here carries the ``acceptance`` marker, so `pytest -m "not acceptance"`
+runs the rest of the suite in seconds.
 """
 
 import time
@@ -28,6 +30,8 @@ from npgd.unroll import (TrainConfig, UnrollConfig, loss_p1, reconstruct, train,
                          unrolled_forward, write_trace_csv)
 
 from conftest import random_complex_image
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(name, elapsed, detail=""):

@@ -91,6 +91,41 @@ def test_conv2d_contract_errors():
                   Variable(np.zeros(2, np.float32)))
 
 
+def _closure_arrays(fn, seen=None):
+    """Every ndarray a function's closure keeps alive, through nested closures."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen:
+        return []
+    seen.add(id(fn))
+    found = []
+    for cell in fn.__closure__ or ():
+        try:
+            obj = cell.cell_contents
+        except ValueError:  # empty cell
+            continue
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            found += _closure_arrays(obj, seen)
+    return found
+
+
+@pytest.mark.parametrize("c_in, c_out, k", [(4, 4, 3), (2, 8, 3), (4, 2, 5), (4, 4, 1)])
+def test_conv2d_tape_keeps_no_column_matrix(c_in, c_out, k):
+    # the tape holds the input, not its c_in*k*k x H*W column matrix
+    rng = np.random.default_rng(11)
+    x = Variable(rng.standard_normal((c_in, 9, 12)).astype(np.float32))
+    kernel = Variable(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32))
+    bias = Variable(rng.standard_normal(c_out).astype(np.float32))
+    tape = Tape()
+    out = ag.conv2d(x, kernel, bias, tape)
+    (_, pulls), = tape._records
+    limit = max(x.value.nbytes, out.value.nbytes)
+    for _, vjp in pulls:
+        for arr in _closure_arrays(vjp):
+            assert arr.nbytes <= limit, (arr.shape, x.value.shape, out.value.shape)
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -148,6 +183,40 @@ def test_instance_norm_gradients():
               [x, gamma, beta], out_shape=(3, 5, 5), h=3e-3, tol=1e-3, seed=1)
 
 
+def _instance_norm_reference(v, gamma, beta, g, eps=1e-5):
+    """instance_norm's forward and (x, gamma, beta) VJPs written as plain
+    separate passes; the taped op must match them bit for bit."""
+    mean = v.mean(axis=(1, 2), keepdims=True)
+    var = v.var(axis=(1, 2), keepdims=True)
+    inv_std = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    xhat = (v - mean) * inv_std
+    out = gamma[:, None, None] * xhat + beta[:, None, None]
+    n = v.shape[1] * v.shape[2]
+    dxhat = g * gamma[:, None, None]
+    sum_d = dxhat.sum(axis=(1, 2), keepdims=True)
+    sum_dx = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+    gx = (inv_std / n) * (n * dxhat - sum_d - xhat * sum_dx)
+    return out, gx, (g * xhat).sum(axis=(1, 2)), g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 10), (3, 7, 5), (32, 24, 40)])
+def test_instance_norm_bit_equal_to_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    v = (rng.standard_normal(shape) * 3 + 1.5).astype(np.float32)
+    v[1] = np.float32(0.7)  # a constant channel: zero variance, inv_std = 1/sqrt(eps)
+    gamma = rng.uniform(0.5, 1.5, shape[0]).astype(np.float32)
+    beta = rng.standard_normal(shape[0]).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    tape = Tape()
+    out = ag.instance_norm(Variable(v), Variable(gamma), Variable(beta), tape=tape)
+    (_, pulls), = tape._records
+    got = [out.value] + [vjp(g) for _, vjp in pulls]
+    for name, a, b in zip(("forward", "vjp_x", "vjp_gamma", "vjp_beta"), got,
+                          _instance_norm_reference(v, gamma, beta, g)):
+        assert a.dtype == b.dtype == np.float32 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # losses and elementwise
 
@@ -201,6 +270,29 @@ def test_add_scale_mul_shapes_and_values():
 
 # ---------------------------------------------------------------------------
 # backward semantics
+
+
+def test_add_parents_get_separate_grads():
+    # add's VJP hands one array to both parents; later contributions to
+    # either parent must not reach the other, or the op's own output grad
+    rng = np.random.default_rng(12)
+    a64 = rng.standard_normal((3, 4))
+    b64 = rng.standard_normal((3, 4))
+    a, b = Variable(a64), Variable(b64)
+    tape = Tape()
+    p = ag.mul(a, b, tape)        # reached last in the reverse sweep
+    s = ag.add(a, b, tape)        # first contribution to both a and b
+    q = ag.add(s, p, tape)
+    loss = ag.sum_squares(q, tape)
+    backward(tape, loss)
+    a64, b64 = a.value.astype(np.float64), b.value.astype(np.float64)
+    q64 = a64 + b64 + a64 * b64
+    np.testing.assert_allclose(a.grad, 2 * q64 * (1 + b64), rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(b.grad, 2 * q64 * (1 + a64), rtol=1e-5, atol=1e-6)
+    grads = [var.grad for var in (a, b, p, s, q, loss)]
+    for i in range(len(grads)):
+        for j in range(i):
+            assert not np.shares_memory(grads[i], grads[j]), (i, j)
 
 
 def test_weight_sharing_two_uses_product_rule():

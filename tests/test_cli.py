@@ -553,3 +553,45 @@ def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
     err = capsys.readouterr().err
     assert err.startswith("npgd: error:") and err.count("\n") == 1
     assert "img.pgm" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_update_exits_1_without_checkpoint(tmp_path, capsys):
+    # one step at lr = 1e39 overflows every parameter; the loss of that
+    # step is still finite, so only the check after the update sees it
+    cfg_path = _write(tmp_path / "c.cfg",
+                      TINY_CHAIN.replace("lr = 3e-4", "lr = 1e39")
+                      .replace("epochs = 2", "epochs = 1"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error: non-finite") and err.count("\n") == 1
+    assert "at step 0" in err and "layer1.kernel" in err
+    assert not (out / "checkpoint.npgd").exists()
+    assert not (out / "loss_trace.csv").exists()
+
+
+@pytest.mark.parametrize("slot", ["head.kernel", "alpha"])
+def test_reconstruct_rejects_non_finite_checkpoint(tmp_path, capsys, slot):
+    from npgd import checkpoint
+    from npgd.config import parse_config_text
+    from npgd.proxnet import build
+    cfg = parse_config_text(TINY_MRI)
+    params = {k: v.value.copy() for k, v in build(cfg.prox_config(), seed=0).params.items()}
+    alpha = 1.0
+    if slot == "alpha":
+        alpha = float("inf")
+    else:
+        params[slot].flat[3] = np.nan
+    ckpt = tmp_path / "nan.npgd"
+    checkpoint.save(checkpoint.Checkpoint(prox=cfg.prox_config(), unroll_t=cfg.unroll_t,
+                                          beta=0.75, loss="l2", alpha=alpha,
+                                          params=params), ckpt)
+    rec_cfg = _write(tmp_path / "r.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--config", rec_cfg, "--out", str(rec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert f"{slot} is not finite" in err
+    assert not (rec / "metrics.csv").exists()

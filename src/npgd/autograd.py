@@ -153,7 +153,7 @@ def swish(x: Variable, tape: Optional[Tape] = None) -> Variable:
 
 
 def instance_norm(x: Variable, gamma: Variable, beta: Variable,
-                  eps: float = 1e-5, tape: Optional[Tape] = None) -> Variable:
+                  tape: Optional[Tape] = None) -> Variable:
     """Per-channel normalization over the spatial axes with learned affine.
 
     x: (C, H, W); gamma, beta: (C,). Batch-size independent and
@@ -171,7 +171,7 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
     # so mean, var and xhat are bit-equal to v.mean, v.var and (v - mean) * inv_std
     xhat = v - mean
     var = np.square(xhat).sum(axis=(1, 2), keepdims=True) / n
-    inv_std = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    inv_std = (1.0 / np.sqrt(var + np.float32(1e-5))).astype(np.float32)
     xhat *= inv_std
     out = Variable(gamma.value[:, None, None] * xhat + beta.value[:, None, None])
     if tape is not None:
@@ -308,14 +308,14 @@ def mse_loss(a: Variable, target: np.ndarray, tape: Optional[Tape] = None) -> Va
     return out
 
 
-def smooth_l1_loss(a: Variable, target: np.ndarray, eps: float = 1e-8,
+def smooth_l1_loss(a: Variable, target: np.ndarray,
                    tape: Optional[Tape] = None) -> Variable:
-    """Sum of sqrt(d^2 + eps): differentiable stand-in for the l1 cost."""
+    """Sum of sqrt(d^2 + 1e-8): differentiable stand-in for the l1 cost."""
     target = np.asarray(target, np.float32)
     if a.value.shape != target.shape:
         raise ShapeError(f"smooth_l1_loss: shape {a.value.shape} vs {target.shape}")
     d = a.value - target
-    root = np.sqrt(d * d + np.float32(eps))
+    root = np.sqrt(d * d + np.float32(1e-8))
     out = _scalar(np.sum(root.astype(np.float64)))
     if tape is not None:
         tape.record(out, [(a, lambda g: g * d / root)])

@@ -23,12 +23,12 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Tuple, get_type_hints
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, NumericsError
+from .errors import CorruptionError, FormatError, NumericsError, ParameterError
 from .proxnet import ProximalConfig, ProximalNet, build
 
 MAGIC = b"NPGD"
@@ -52,7 +52,13 @@ class Checkpoint:
     adam_step: int = 0
     seed: int = 0
     epoch: int = 0
-    version: int = VERSION
+
+
+# the config entries, in file order, are the proximal config's fields, then these
+_RUN_KEYS = ("unroll_t", "beta", "loss", "seed", "epoch", "adam_step")
+_HINTS = {**get_type_hints(ProximalConfig), **get_type_hints(Checkpoint)}
+_ENTRY_TYPES = {k: _HINTS[k] for k in (*(f.name for f in fields(ProximalConfig)), *_RUN_KEYS)}
+_TAGS = {int: _TAG_INT, float: _TAG_F32, str: _TAG_STR}
 
 
 class _Writer:
@@ -89,24 +95,10 @@ class _Writer:
 
 def serialize(ck: Checkpoint) -> bytes:
     w = _Writer()
-    entries = [
-        ("arch", ck.prox.arch),
-        ("num_res_blocks", ck.prox.num_res_blocks),
-        ("feature_maps", ck.prox.feature_maps),
-        ("chain_layers", ck.prox.chain_layers),
-        ("chain_kernel", ck.prox.chain_kernel),
-        ("activation", ck.prox.activation),
-        ("normalization", ck.prox.normalization),
-        ("unroll_t", ck.unroll_t),
-        ("beta", float(ck.beta)),
-        ("loss", ck.loss),
-        ("seed", ck.seed),
-        ("epoch", ck.epoch),
-        ("adam_step", ck.adam_step),
-    ]
-    w.raw(struct.pack("<I", len(entries)))
-    for key, value in entries:
-        w.entry(key, value)
+    values = dict(asdict(ck.prox), **{k: getattr(ck, k) for k in _RUN_KEYS})
+    w.raw(struct.pack("<I", len(_ENTRY_TYPES)))
+    for key, tp in _ENTRY_TYPES.items():
+        w.entry(key, tp(values[key]))
     w.raw(struct.pack("<f", float(ck.alpha)))
     records = list(ck.params.items())
     records += [(f"adam.m.{k}", v) for k, v in ck.adam_m.items()]
@@ -161,14 +153,15 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
         key = r.text(klen)
         tag, = r.unpack("<B")
         if tag == _TAG_INT:
-            meta[key], = r.unpack("<q")
+            value, = r.unpack("<q")
         elif tag == _TAG_F32:
-            meta[key], = r.unpack("<f")
+            value, = r.unpack("<f")
         elif tag == _TAG_STR:
             vlen, = r.unpack("<H")
-            meta[key] = r.text(vlen)
+            value = r.text(vlen)
         else:
             raise FormatError(f"{origin}: unknown entry tag {tag}")
+        meta[key] = (tag, value)
 
     alpha, = r.unpack("<f")
     n_records, = r.unpack("<I")
@@ -191,19 +184,20 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
     if r.pos != len(r.blob):
         raise CorruptionError(f"{origin}: {len(r.blob) - r.pos} trailing bytes")
 
+    for key, tp in _ENTRY_TYPES.items():
+        if key not in meta:
+            raise FormatError(f"{origin}: missing config entry {key!r}")
+        if meta[key][0] != _TAGS[tp]:
+            raise FormatError(f"{origin}: config entry {key!r} is not {tp.__name__}")
+    values = {key: meta[key][1] for key in _ENTRY_TYPES}
+    prox = ProximalConfig(**{f.name: values[f.name] for f in fields(ProximalConfig)})
+    ck = Checkpoint(prox=prox, alpha=float(alpha), params=params, adam_m=adam_m,
+                    adam_v=adam_v, **{k: values[k] for k in _RUN_KEYS})
+    from .unroll import UnrollConfig  # unroll imports this module
     try:
-        prox = ProximalConfig(
-            arch=meta["arch"], num_res_blocks=int(meta["num_res_blocks"]),
-            feature_maps=int(meta["feature_maps"]), chain_layers=int(meta["chain_layers"]),
-            chain_kernel=int(meta["chain_kernel"]), activation=meta["activation"],
-            normalization=meta["normalization"])
-        ck = Checkpoint(prox=prox, unroll_t=int(meta["unroll_t"]),
-                        beta=float(meta["beta"]), loss=meta["loss"], alpha=float(alpha),
-                        params=params, adam_m=adam_m, adam_v=adam_v,
-                        adam_step=int(meta["adam_step"]), seed=int(meta["seed"]),
-                        epoch=int(meta["epoch"]), version=version)
-    except KeyError as exc:
-        raise FormatError(f"{origin}: missing config entry {exc}") from None
+        UnrollConfig(iterations=ck.unroll_t, beta=ck.beta, loss=ck.loss).validate()
+    except ParameterError as exc:
+        raise FormatError(f"{origin}: {exc}") from None
     return ck
 
 

@@ -85,32 +85,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, threads=args.threads)
         cfg.validate()
         out_dir = _resolve_out(args, cfg)
-        if args.command == "genmask":
-            info = experiment.run_genmask(cfg, out_dir)
-            log(f"mask: {info['popcount']} samples -> {info['pgm']}, {info['bits']}")
-        elif args.command == "gendata":
-            info = experiment.run_gendata(cfg, out_dir)
-            log(f"dataset: {info['count']} images -> {info['dir']}")
-        elif args.command == "train":
-            info = experiment.run_train(cfg, out_dir, log=log)
-            log(f"trained in {info['seconds']:.1f}s, final loss {info['final_loss']:.6g}")
-            log(f"checkpoint: {info['checkpoint']}")
-        elif args.command == "reconstruct":
-            info = experiment.run_reconstruct(cfg, out_dir)
-            log(f"mean SNR {info['mean_snr']:.2f} dB "
-                f"(zero-filled {info['mean_snr_zf']:.2f} dB) -> {info['metrics']}")
-        elif args.command == "baseline":
-            info = experiment.run_baseline(cfg, out_dir, log=log)
-            log(f"CS baseline (lambda={info['lambda']:.4g}): "
-                f"mean SNR {info['mean_snr']:.2f} dB -> {info['metrics']}")
-        elif args.command == "analyze":
-            info = experiment.run_analyze(cfg, out_dir)
-            n_conv = sum(r[1] for r in info["debias"])
-            log(f"analyzed {len(info['traces'])} samples -> {info['out_dir']} "
-                f"(debias converged on {n_conv}/{len(info['debias'])})")
-        elif args.command == "sweep":
-            info = experiment.run_sweep(cfg, out_dir, log=log)
-            log(f"sweep -> {info['sweep']}")
+        getattr(experiment, f"run_{args.command}")(cfg, out_dir, log)
         return 0
     except NpgdError as exc:
         print(f"npgd: error: {exc}", file=sys.stderr)

@@ -7,12 +7,15 @@ starts. The documented key list lives in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .baselines import CsConfig
 from .errors import ConfigError, ParameterError
+from .phantoms import PhantomSpec
 from .proxnet import ProximalConfig
+from .sampling import mask_quota
 from .unroll import TrainConfig, UnrollConfig
 
 
@@ -23,6 +26,14 @@ def _parse_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_float(raw: str) -> float:
+    """No key has a meaning for NaN or an infinity."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 @dataclass
@@ -80,13 +91,13 @@ class ExperimentConfig:
         # spectral step 4 replaces the measured component in one go
         return 1.0 if self.task == "mri" else 4.0
 
+    def phantom_spec(self) -> PhantomSpec:
+        return PhantomSpec(**{f.name: getattr(self, f"phantom_{f.name}")
+                              for f in fields(PhantomSpec)})
+
     def prox_config(self) -> ProximalConfig:
-        return ProximalConfig(arch=self.arch, num_res_blocks=self.num_res_blocks,
-                              feature_maps=self.feature_maps,
-                              chain_layers=self.chain_layers,
-                              chain_kernel=self.chain_kernel,
-                              activation=self.activation,
-                              normalization=self.normalization)
+        return ProximalConfig(**{f.name: getattr(self, f.name)
+                                 for f in fields(ProximalConfig)})
 
     def unroll_config(self) -> UnrollConfig:
         return UnrollConfig(iterations=self.unroll_t,
@@ -118,15 +129,17 @@ class ExperimentConfig:
         if self.data_dir is None and self.holdout >= self.data_num:
             raise ConfigError(f"holdout ({self.holdout}) must be smaller than "
                               f"data_num ({self.data_num})")
-        if not (1 <= self.phantom_min_ellipses <= self.phantom_max_ellipses):
-            raise ConfigError("phantom ellipse range is invalid")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        for key in ("data_seed", "train_seed"):  # numpy takes no negative seed
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self.task == "mri":
-            if not (0.0 < self.mask_rate <= 1.0):
-                raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
-            if not (0.0 <= self.mask_center_fraction < self.mask_rate):
-                raise ConfigError("mask_center_fraction must satisfy 0 <= cf < rate")
+            try:
+                mask_quota(n, n, self.mask_rate, self.mask_center_fraction,
+                           self.mask_decay)
+            except ParameterError as exc:
+                raise ConfigError(f"mask: {exc}") from None
         for key in ("cs_grid_points", "cs_val_images"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
@@ -139,8 +152,8 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         parse_sweep_grid(self.sweep_grid)
         try:
-            for sub in (self.prox_config(), self.unroll_config(), self.train_config(),
-                        self.cs_config()):
+            for sub in (self.phantom_spec(), self.prox_config(), self.unroll_config(),
+                        self.train_config(), self.cs_config()):
                 sub.validate()
         except ParameterError as exc:
             raise ConfigError(f"{type(sub).__name__}: {exc}") from None
@@ -151,7 +164,7 @@ def _value_parser(annotation) -> Callable[[str], object]:
     args = [a for a in get_args(annotation) if a is not type(None)]
     if get_origin(annotation) is Union and len(args) == 1:
         annotation = args[0]
-    parsers = {bool: _parse_bool, int: int, float: float, str: str}
+    parsers = {bool: _parse_bool, int: int, float: _parse_float, str: str}
     if annotation not in parsers:
         raise TypeError(f"no config parser for annotation {annotation!r}")
     return parsers[annotation]

@@ -47,9 +47,9 @@ class FrozenAffineMap:
         if net.config.normalization != "none":
             raise UnsupportedConfigError(
                 "frozen-mask analysis requires normalization=none")
-        if snapshot.signature != net.signature:
-            raise ContractError(
-                f"snapshot from {snapshot.signature!r} cannot drive {net.signature!r}")
+        if snapshot.signature != net.config.signature:
+            raise ContractError(f"snapshot from {snapshot.signature!r} "
+                                f"cannot drive {net.config.signature!r}")
         self.net = net
         self.snapshot = snapshot
         self._at_zero: Optional[np.ndarray] = None

@@ -1,6 +1,9 @@
 """Experiment drivers shared by the CLI and the acceptance suite: dataset
 assembly, operator construction, training/evaluation/baseline/analysis
-runs, and their artifact files."""
+runs, and their artifact files.
+
+Each command is ``run_<command>(cfg, out_dir, log)``: it writes its files
+under ``out_dir`` and passes every line it reports to ``log``."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .errors import ConfigError, ParameterError
 from .metrics import nrmse, snr_db, ssim
 from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
 from .pgm import read_pgm, write_pgm16
-from .phantoms import PhantomSpec, generate_dataset
+from .phantoms import generate_dataset
 from .sampling import generate_vardens_mask, save_mask_bits, save_mask_pgm
 from .unroll import reconstruct, train, write_csv, write_trace_csv
 
@@ -88,10 +91,8 @@ def load_image_dir(path: str, size: int) -> List[np.ndarray]:
 def build_dataset(cfg: ExperimentConfig) -> List[np.ndarray]:
     if cfg.data_dir is not None:
         return load_image_dir(cfg.data_dir, cfg.image_size)
-    spec = PhantomSpec(cfg.phantom_min_ellipses, cfg.phantom_max_ellipses,
-                       cfg.phantom_intensity_min, cfg.phantom_intensity_max,
-                       cfg.phantom_phase)
-    return generate_dataset(cfg.data_num, cfg.image_size, spec, cfg.data_seed)
+    return generate_dataset(cfg.data_num, cfg.image_size, cfg.phantom_spec(),
+                            cfg.data_seed)
 
 
 def split_dataset(images: Sequence[np.ndarray], holdout: int):
@@ -204,7 +205,7 @@ def _write_eval_csv(path: str, rows: Sequence[EvalRow]) -> str:
 # command bodies
 
 
-def run_genmask(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_genmask(cfg: ExperimentConfig, out_dir: str, log) -> None:
     if cfg.task != "mri":
         raise ConfigError("genmask requires task = mri")
     os.makedirs(out_dir, exist_ok=True)
@@ -213,33 +214,29 @@ def run_genmask(cfg: ExperimentConfig, out_dir: str) -> dict:
     bits = os.path.join(out_dir, "mask.bits")
     save_mask_pgm(mask, pgm)
     save_mask_bits(mask, bits)
-    return {"popcount": mask.popcount, "pgm": pgm, "bits": bits}
+    log(f"mask: {mask.popcount} samples -> {pgm}, {bits}")
 
 
-def run_gendata(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_gendata(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     images = build_dataset(cfg)
     for i, img in enumerate(images):
         write_pgm16(os.path.join(out_dir, f"img_{i:04d}_re.pgm"), img[0])
         write_pgm16(os.path.join(out_dir, f"img_{i:04d}_im.pgm"), img[1])
-    return {"count": len(images), "dir": out_dir}
+    log(f"dataset: {len(images)} images -> {out_dir}")
 
 
-def run_train(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
+def run_train(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, _, op = _setup(cfg)
     unroll_cfg = cfg.unroll_config()
-    result = train(train_set, lambda i: op, unroll_cfg, cfg.train_config(),
-                   cfg.prox_config(), measurements=_measure(cfg, op, train_set),
-                   log=log)
-    ckpt = result.to_checkpoint(unroll_cfg, cfg.train_seed)
+    result = train(train_set, op, unroll_cfg, cfg.train_config(), cfg.prox_config(),
+                   _measure(cfg, op, train_set), log=log)
     ckpt_path = os.path.join(out_dir, "checkpoint.npgd")
-    ckpt_io.save(ckpt, ckpt_path)
-    trace_path = os.path.join(out_dir, "loss_trace.csv")
-    write_trace_csv(result.trace, trace_path)
-    return {"checkpoint": ckpt_path, "trace": trace_path,
-            "final_loss": result.trace[-1][3], "seconds": result.seconds,
-            "result": result}
+    ckpt_io.save(result.to_checkpoint(unroll_cfg, cfg.train_seed), ckpt_path)
+    write_trace_csv(result.trace, os.path.join(out_dir, "loss_trace.csv"))
+    log(f"trained in {result.seconds:.1f}s, final loss {result.trace[-1][3]:.6g}")
+    log(f"checkpoint: {ckpt_path}")
 
 
 def _load_checkpoint(cfg: ExperimentConfig):
@@ -250,7 +247,7 @@ def _load_checkpoint(cfg: ExperimentConfig):
     return ck, net, alpha
 
 
-def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_reconstruct(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
@@ -266,27 +263,23 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
               [(i, t, r) for i, (_, residuals) in enumerate(solved)
                for t, r in enumerate(residuals, start=1)])
     path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    return {"metrics": path, "rows": rows,
-            "mean_snr": mean_snr(rows),
-            "mean_snr_zf": float(np.mean([r.snr_zf for r in rows]))}
+    log(f"mean SNR {mean_snr(rows):.2f} dB (zero-filled "
+        f"{float(np.mean([r.snr_zf for r in rows])):.2f} dB) -> {path}")
 
 
-def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
+def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set)))
     cs = cfg.cs_config()
-    table = []
     if cfg.cs_lambda is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
         ys_val = _measure(cfg, op, val)
         grid = default_lambda_grid(ys_val, op, cfg.cs_levels,
                                    points=cfg.cs_grid_points,
                                    lo=cfg.cs_grid_lo, hi=cfg.cs_grid_hi)
-        best, table = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
-        cs.lam = best
-        if log is not None:
-            log(f"tuned lambda = {best:.6g}")
+        cs.lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
+        log(f"tuned lambda = {cs.lam:.6g}")
     solve = fista if cs.solver == "fista" else ista
     # the held-out set is one batch; threads does not apply
     estimates, traces = solve(np.stack([y for _, y in pairs]), op, cs)
@@ -295,17 +288,15 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
         write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
                   ("iter", "objective", "data_term", "l1_term"), trace)
     path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)
-    return {"lambda": cs.lam, "grid_table": table, "metrics": path,
-            "rows": rows, "mean_snr": mean_snr(rows)}
+    log(f"CS baseline (lambda={cs.lam:.4g}): mean SNR {mean_snr(rows):.2f} dB -> {path}")
 
 
-def run_analyze(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_analyze(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set, noise_std=0.0)))
-    traces, aggregate = analyze_trajectory(net, alpha, op, pairs, ck.unroll_t,
-                                           out_dir=out_dir)
+    traces, _ = analyze_trajectory(net, alpha, op, pairs, ck.unroll_t, out_dir=out_dir)
     debias_rows = []
     for tr, (_, y) in zip(traces, pairs):
         x_t = tr.x_final
@@ -318,11 +309,12 @@ def run_analyze(cfg: ExperimentConfig, out_dir: str) -> dict:
     write_csv(os.path.join(out_dir, "debias.csv"),
               ("index", "converged", "diverged", "iterations", "residual_xT",
                "residual_debiased"), debias_rows)
-    return {"traces": traces, "aggregate": aggregate, "debias": debias_rows,
-            "out_dir": out_dir}
+    n_conv = sum(row[1] for row in debias_rows)
+    log(f"analyzed {len(traces)} samples -> {out_dir} "
+        f"(debias converged on {n_conv}/{len(debias_rows)})")
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
+def run_sweep(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     cells = parse_sweep_grid(cfg.sweep_grid)
     train_set, test_set, op = _setup(cfg)
@@ -331,9 +323,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
     prox_cfg, unroll_cfg = cfg.prox_config(), cfg.unroll_config()
     rows = []
     for t, rb in cells:
-        result = train(train_set, lambda i: op, replace(unroll_cfg, iterations=t),
+        result = train(train_set, op, replace(unroll_cfg, iterations=t),
                        cfg.train_config(), replace(prox_cfg, num_res_blocks=rb),
-                       measurements=ys_train, log=log)
+                       ys_train, log=log)
         t0 = time.perf_counter()
         eval_rows = evaluate_model(result.net, float(result.alpha.value), op, t,
                                    test_pairs)
@@ -341,9 +333,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log=None) -> dict:
         rows.append((t, rb, result.seconds, infer_seconds,
                      mean_snr(eval_rows),
                      float(np.mean([r.ssim for r in eval_rows]))))
-        if log is not None:
-            log(f"cell T={t} RB={rb}: snr={rows[-1][4]:.2f} dB")
+        log(f"cell T={t} RB={rb}: snr={rows[-1][4]:.2f} dB")
     path = os.path.join(out_dir, "sweep.csv")
     write_csv(path, ("T", "RBs", "train_seconds", "infer_seconds_per_image",
                      "snr_mean", "ssim_mean"), rows)
-    return {"sweep": path, "rows": rows}
+    log(f"sweep -> {path}")

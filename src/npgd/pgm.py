@@ -16,12 +16,11 @@ import numpy as np
 from .errors import CorruptionError, FormatError
 
 
-def write_pgm16(path, plane: np.ndarray, vmin=None, vmax=None) -> None:
+def write_pgm16(path, plane: np.ndarray) -> None:
     plane = np.asarray(plane, np.float64)
     if plane.ndim != 2:
         raise FormatError("write_pgm16 expects a 2-D plane")
-    vmin = float(plane.min()) if vmin is None else float(vmin)
-    vmax = float(plane.max()) if vmax is None else float(vmax)
+    vmin, vmax = float(plane.min()), float(plane.max())
     if vmax > vmin:
         q = np.round((plane - vmin) / (vmax - vmin) * 65535.0)
     else:

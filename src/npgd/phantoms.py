@@ -46,7 +46,6 @@ def _ellipse(u, v, rng, spec):
 
 def generate_phantom(size: int, spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     """One (2, size, size) phantom; the imaginary plane is zero without phase."""
-    spec.validate()
     ax = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     u, v = np.meshgrid(ax, ax, indexing="ij")
     n = int(rng.integers(spec.min_ellipses, spec.max_ellipses + 1))
@@ -64,5 +63,6 @@ def generate_phantom(size: int, spec: PhantomSpec, rng: np.random.Generator) -> 
 def generate_dataset(count: int, size: int, spec: PhantomSpec, seed: int) -> List[np.ndarray]:
     if count < 1:
         raise ParameterError(f"dataset needs at least one image, got {count}")
+    spec.validate()
     rng = np.random.default_rng(seed)
     return [generate_phantom(size, spec, rng) for _ in range(count)]

@@ -17,7 +17,6 @@ affine (the basis of the contraction diagnostics).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -98,14 +97,9 @@ class MaskSnapshot:
     layer_ids: Tuple[str, ...]
     masks: Tuple[np.ndarray, ...]
     signature: str
-    input_digest: str
 
     def mask_for(self, layer_id: str) -> np.ndarray:
         return self.masks[self.layer_ids.index(layer_id)]
-
-
-def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 class _NormalGate:
@@ -148,10 +142,6 @@ class ProximalNet:
     def __init__(self, config: ProximalConfig, params: Dict[str, Variable]):
         self.config = config
         self.params = params
-
-    @property
-    def signature(self) -> str:
-        return self.config.signature
 
     def gated_layer_ids(self) -> Tuple[str, ...]:
         if self.config.arch == "chain":
@@ -205,13 +195,13 @@ class ProximalNet:
         gate = _CaptureGate(self)
         out = self._walk(Variable(x), None, gate)
         snap = MaskSnapshot(self.gated_layer_ids(), tuple(gate.masks),
-                            self.signature, _digest(np.asarray(x, np.float32)))
+                            self.config.signature)
         return out.value, snap
 
     def forward_frozen(self, x: np.ndarray, snapshot: MaskSnapshot) -> np.ndarray:
-        if snapshot.signature != self.signature:
-            raise ContractError(
-                f"snapshot from {snapshot.signature!r} cannot drive {self.signature!r}")
+        if snapshot.signature != self.config.signature:
+            raise ContractError(f"snapshot from {snapshot.signature!r} "
+                                f"cannot drive {self.config.signature!r}")
         if self.config.normalization != "none":
             raise UnsupportedConfigError(
                 "frozen-mask evaluation requires normalization=none")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class SamplingMask:
     height: int
     width: int
     bits: np.ndarray  # (H, W) bool, centered layout
-    rate: float
-    center_fraction: Optional[float] = None
-    decay: Optional[float] = None
-    seed: Optional[int] = None
 
     @property
     def popcount(self) -> int:
@@ -56,6 +52,27 @@ def _center_slice(n: int, side: int) -> slice:
     return slice(start, start + side)
 
 
+def mask_quota(height: int, width: int, rate: float, center_fraction: float,
+               decay: float) -> Tuple[int, int]:
+    """Check the sampling-law parameters for an H x W grid; returns the
+    total sample count and the side of the fully sampled centre square."""
+    if not (0.0 < rate <= 1.0):
+        raise ParameterError(f"rate must be in (0, 1], got {rate}")
+    if not (0.0 <= center_fraction < rate):
+        raise ParameterError(
+            f"center_fraction must satisfy 0 <= cf < rate, got {center_fraction}")
+    if not decay >= 0:
+        raise ParameterError(f"decay must be >= 0, got {decay}")
+    n = height * width
+    total = _round_half_up(rate * n)
+    side = _round_half_up(np.sqrt(center_fraction * n))
+    if side * side > total:
+        raise ParameterError(
+            f"center square ({side * side} samples) exceeds the total quota ({total}); "
+            f"lower center_fraction or raise rate")
+    return total, side
+
+
 def generate_vardens_mask(height: int, width: int, rate: float,
                           center_fraction: float, decay: float,
                           seed: int) -> SamplingMask:
@@ -66,28 +83,12 @@ def generate_vardens_mask(height: int, width: int, rate: float,
     """
     check_power_of_two(height, "height")
     check_power_of_two(width, "width")
-    if not (0.0 < rate <= 1.0):
-        raise ParameterError(f"rate must be in (0, 1], got {rate}")
-    if not (0.0 <= center_fraction < rate):
-        raise ParameterError(
-            f"center_fraction must satisfy 0 <= cf < rate, got {center_fraction}")
-    if decay < 0:
-        raise ParameterError(f"decay must be >= 0, got {decay}")
-
-    n = height * width
-    total = _round_half_up(rate * n)
-    side = _round_half_up(np.sqrt(center_fraction * n))
+    total, side = mask_quota(height, width, rate, center_fraction, decay)
     bits = np.zeros((height, width), dtype=bool)
-    rows, cols = _center_slice(height, side), _center_slice(width, side)
-    bits[rows, cols] = True
-    n_center = side * side
-    if n_center > total:
-        raise ParameterError(
-            f"center square ({n_center} samples) exceeds the total quota ({total}); "
-            f"lower center_fraction or raise rate")
-    quota = total - n_center
+    bits[_center_slice(height, side), _center_slice(width, side)] = True
+    quota = total - side * side
     if quota == 0:
-        return SamplingMask(height, width, bits, rate, center_fraction, decay, seed)
+        return SamplingMask(height, width, bits)
 
     fu = np.arange(height)[:, None] - height // 2
     fv = np.arange(width)[None, :] - width // 2
@@ -108,8 +109,7 @@ def generate_vardens_mask(height: int, width: int, rate: float,
     chosen = candidates[order[:quota]]
     flat = bits.ravel()
     flat[chosen] = True
-    mask = SamplingMask(height, width, flat.reshape(height, width),
-                        rate, center_fraction, decay, seed)
+    mask = SamplingMask(height, width, flat.reshape(height, width))
     assert mask.popcount == total
     return mask
 
@@ -135,16 +135,6 @@ def save_mask_bits(mask: SamplingMask, path) -> None:
         fh.write(packed.tobytes())
 
 
-def load_mask_pgm(path) -> SamplingMask:
-    """Inverse of :func:`save_mask_pgm`: nonzero pixels are sampled."""
-    from .pgm import read_pgm
-
-    plane = read_pgm(path)
-    bits = plane > 0.5
-    h, w = bits.shape
-    return SamplingMask(h, w, bits, float(np.count_nonzero(bits)) / (h * w))
-
-
 def load_mask_bits(path) -> SamplingMask:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -162,5 +152,4 @@ def load_mask_bits(path) -> SamplingMask:
             f"{path}: expected {nbytes} mask bytes, found {len(payload)}")
     bits = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="big")
     bits = bits[:height * width].astype(bool).reshape(height, width)
-    rate = float(np.count_nonzero(bits)) / (height * width)
-    return SamplingMask(height, width, bits, rate)
+    return SamplingMask(height, width, bits)

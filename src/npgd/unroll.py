@@ -51,18 +51,18 @@ class UnrollConfig:
 class TrainConfig:
     lr: float = 1e-3
     lr_halve_every: int = 10000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 2
     epochs: int = 10
     seed: int = 0
-    alpha_floor: float = 1e-4
 
     def validate(self) -> None:
         for name in ("lr", "lr_halve_every", "batch_size", "epochs"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
+        # Adam casts lr to float32, which turns a larger value into inf
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(self.lr)):
+                raise ParameterError(f"lr {self.lr} is not finite in float32")
 
     def lr_at(self, step: int) -> float:
         return self.lr * 0.5 ** (step // self.lr_halve_every)
@@ -122,12 +122,14 @@ def loss_p1(traj: Trajectory, x_true: np.ndarray, y: np.ndarray,
     return total, float(terminal.value), float(consistency.value)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ALPHA_FLOOR = 1e-4  # the step size never falls below this
+
+
 class Adam:
     """Adam over the net parameters plus the scalar step size."""
 
-    def __init__(self, params: Dict[str, Variable], alpha_var: Variable,
-                 cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: Dict[str, Variable], alpha_var: Variable):
         self.slots: Dict[str, Variable] = dict(params)
         self.slots["alpha"] = alpha_var
         self.m = {k: np.zeros_like(v.value) for k, v in self.slots.items()}
@@ -143,21 +145,20 @@ class Adam:
         return float(np.sqrt(total))
 
     def step(self, lr: float) -> None:
-        cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - cfg.adam_beta1 ** t
-        bc2 = 1.0 - cfg.adam_beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for k, var in self.slots.items():
             g = var.grad_or_zeros()
-            self.m[k] = cfg.adam_beta1 * self.m[k] + (1.0 - cfg.adam_beta1) * g
-            self.v[k] = cfg.adam_beta2 * self.v[k] + (1.0 - cfg.adam_beta2) * g * g
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
             mhat = self.m[k] / bc1
             vhat = self.v[k] / bc2
             var.value = (var.value - np.float32(lr) * mhat /
-                         (np.sqrt(vhat) + np.float32(cfg.adam_eps))).astype(np.float32)
+                         (np.sqrt(vhat) + np.float32(ADAM_EPS))).astype(np.float32)
         alpha = self.slots["alpha"]
-        alpha.value = np.maximum(alpha.value, np.float32(cfg.alpha_floor))
+        alpha.value = np.maximum(alpha.value, np.float32(ALPHA_FLOOR))
 
 
 TRACE_HEADER = ("step", "epoch", "lr", "loss_total", "loss_terminal",
@@ -192,32 +193,25 @@ def _first_nonfinite(arrays: Dict[str, Optional[np.ndarray]]) -> Optional[str]:
     return None
 
 
-def train(dataset: Sequence[np.ndarray],
-          op_factory: Callable[[int], LinearOperator],
+@np.errstate(over="ignore", invalid="ignore")
+def train(dataset: Sequence[np.ndarray], op: LinearOperator,
           unroll_cfg: UnrollConfig, train_cfg: TrainConfig,
-          prox_cfg: ProximalConfig,
-          measurements: Optional[Sequence[np.ndarray]] = None,
-          net: Optional[ProximalNet] = None,
-          alpha_var: Optional[Variable] = None,
+          prox_cfg: ProximalConfig, measurements: Sequence[np.ndarray],
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
-    """Mini-batch Adam over the composite cost.
+    """Mini-batch Adam over the composite cost, from a freshly built net.
 
     Deterministic given the seed: the per-epoch data order comes from one
     seeded generator, and all numerics are fixed-order. Aborts with a
-    diagnostic on a non-finite loss, gradient, parameter or step size.
+    diagnostic on a non-finite loss, gradient, parameter or step size;
+    numpy's overflow warnings on the way there are silenced.
     """
     unroll_cfg.validate()
     train_cfg.validate()
     if len(dataset) == 0:
         raise ParameterError("training dataset is empty")
-    ops = [op_factory(i) for i in range(len(dataset))]
-    if measurements is None:
-        measurements = [ops[i].apply(x) for i, x in enumerate(dataset)]
-    if net is None:
-        net = build(prox_cfg, seed=train_cfg.seed)
-    if alpha_var is None:
-        alpha_var = Variable(np.float32(unroll_cfg.alpha_init))
-    optimizer = Adam(net.params, alpha_var, train_cfg)
+    net = build(prox_cfg, seed=train_cfg.seed)
+    alpha_var = Variable(np.float32(unroll_cfg.alpha_init))
+    optimizer = Adam(net.params, alpha_var)
     result = TrainResult(net, alpha_var, optimizer)
     order_rng = np.random.default_rng(train_cfg.seed)
     t0 = time.perf_counter()
@@ -232,10 +226,10 @@ def train(dataset: Sequence[np.ndarray],
             tot = term = cons = 0.0
             for i in batch:
                 tape = Tape()
-                traj = unrolled_forward(net, ops[i], measurements[i],
+                traj = unrolled_forward(net, op, measurements[i],
                                         unroll_cfg.iterations, alpha_var, tape)
                 total, term_v, cons_v = loss_p1(traj, dataset[i], measurements[i],
-                                                ops[i], unroll_cfg.beta,
+                                                op, unroll_cfg.beta,
                                                 unroll_cfg.loss, tape)
                 if not np.isfinite(float(total.value)):
                     raise NumericsError(

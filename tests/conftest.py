@@ -55,11 +55,11 @@ def nonzero_complex_image(h, w, seed=0):
 
 
 def full_mask(h, w):
-    return SamplingMask(h, w, np.ones((h, w), bool), 1.0)
+    return SamplingMask(h, w, np.ones((h, w), bool))
 
 
 def empty_mask(h, w):
-    return SamplingMask(h, w, np.zeros((h, w), bool), 0.0)
+    return SamplingMask(h, w, np.zeros((h, w), bool))
 
 
 @pytest.fixture

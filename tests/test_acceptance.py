@@ -279,16 +279,17 @@ def mri_bundle():
 
     prox = ProximalConfig(arch="resnet", num_res_blocks=1, feature_maps=32,
                           activation="relu", normalization="instance")
-    main = train(train_set, lambda i: op, UnrollConfig(iterations=10),
+    ys_train = [op.apply(x) for x in train_set]
+    main = train(train_set, op, UnrollConfig(iterations=10),
                  TrainConfig(lr=1e-3, lr_halve_every=400, epochs=8,
-                             batch_size=2, seed=3), prox)
+                             batch_size=2, seed=3), prox, ys_train)
 
     sweep = {}
     for t_cells in (1, 3):
-        sweep[t_cells] = train(train_set, lambda i: op,
+        sweep[t_cells] = train(train_set, op,
                                UnrollConfig(iterations=t_cells),
                                TrainConfig(lr=1e-3, lr_halve_every=400, epochs=4,
-                                           batch_size=2, seed=3), prox)
+                                           batch_size=2, seed=3), prox, ys_train)
     return {"op": op, "test": test_set, "ys": ys_test, "fista_snr": fista_snr,
             "main": main, "sweep": sweep, "seconds": time.perf_counter() - t0,
             "t0": t0}
@@ -331,10 +332,11 @@ def sr_bundle():
     op = BoxDownsampleOperator(32, 32)
     prox = ProximalConfig(arch="chain", chain_layers=3, chain_kernel=5,
                           feature_maps=4, activation="swish", normalization="none")
-    result = train(train_set, lambda i: op,
+    result = train(train_set, op,
                    UnrollConfig(iterations=10, alpha_init=4.0, beta=0.25),
                    TrainConfig(lr=3e-4, lr_halve_every=300, epochs=6,
-                               batch_size=2, seed=7), prox)
+                               batch_size=2, seed=7), prox,
+                   [op.apply(x) for x in train_set])
     ys = [op.apply(x) for x in test_set]
     return {"op": op, "test": test_set, "ys": ys, "result": result, "t0": t0}
 
@@ -384,8 +386,9 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     prox = ProximalConfig(feature_maps=8, normalization="instance")
 
     def run_once(path):
-        res = train(images, lambda i: op, UnrollConfig(iterations=2),
-                    TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=5), prox)
+        res = train(images, op, UnrollConfig(iterations=2),
+                    TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=5), prox,
+                    [op.apply(x) for x in images])
         write_trace_csv(res.trace, path)
         return res, path.read_bytes()
 

@@ -1,5 +1,8 @@
 import os
+import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from npgd.core import magnitude
 from npgd.errors import ConfigError
 from npgd.pgm import read_pgm, write_pgm16
 from npgd.phantoms import PhantomSpec, generate_dataset
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write(path, text):
@@ -74,6 +80,39 @@ def test_validation_before_compute():
         parse_config_text("task = ct")
     with pytest.raises(ConfigError):
         parse_config_text("mask_rate = 0.2\nmask_center_fraction = 0.3")
+
+
+@pytest.mark.parametrize("line", [
+    "mask_decay = -1",
+    "phantom_intensity_min = 0.9\nphantom_intensity_max = 0.1",
+    "lr = nan",
+    "lr = inf",
+    "lr = 1e39",
+    "noise_std = nan",
+    "alpha_init = inf",
+    "train_seed = -1",
+], ids=["negative-mask-decay", "inverted-intensity-range", "lr-nan", "lr-inf",
+        "lr-above-float32", "noise-std-nan", "alpha-init-inf", "negative-seed"])
+def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + line + "\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_readme_lists_every_config_key():
+    from dataclasses import fields
+
+    from npgd.config import ExperimentConfig
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("### Configuration files")[1]
+    table = section[section.index("| group"):].split("\n\n")[0]
+    keys = [key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([a-z_]+)`", row.split("|")[2])]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_every_key_parses_to_its_annotated_type():
@@ -297,13 +336,18 @@ def test_sweep_writes_table(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergent_training_exits_1(tmp_path):
     diverging = TINY_MRI.replace("epochs = 2", "epochs = 40") + "lr = 1e12\n" \
         + "normalization = none\n"
     cfg_path = _write(tmp_path / "c.cfg", diverging)
-    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    # a separate interpreter, so that numpy's warnings reach stderr as they
+    # would for a user
+    proc = subprocess.run([sys.executable, "-m", "npgd.cli", "train", "--config", cfg_path,
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("npgd: error: non-finite loss")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_missing_checkpoint_path_exits_2(tmp_path):
@@ -520,11 +564,38 @@ def _bad_key_entry():
     return struct.pack("<H", 1) + b"\xff" + struct.pack("<Bq", 0, 1)
 
 
+def _tiny_checkpoint_blob(**entries):
+    """A valid checkpoint of the TINY_MRI net with some config entries
+    replaced; each value is stored with the tag of its Python type."""
+    from dataclasses import asdict
+
+    from npgd.proxnet import build
+    prox = parse_config_text(TINY_MRI).prox_config()
+    values = dict(asdict(prox), unroll_t=2, beta=0.75, loss="l2", seed=0, epoch=0,
+                  adam_step=0)
+    values.update(entries)
+    w = _Writer()
+    w.raw(struct.pack("<I", len(values)))
+    for key, value in values.items():
+        w.entry(key, value)
+    params = build(prox).params
+    w.raw(struct.pack("<f", 1.0) + struct.pack("<I", len(params)))
+    for name, var in params.items():
+        w.record(name, var.value)
+    return w.finish()
+
+
 @pytest.mark.parametrize("blob, code", [
     (_checkpoint_blob(dims=(0xFFFFFFFF,) * 4), 1),          # CorruptionError
     (_checkpoint_blob(name=b"\xff\xfe"), 2),                # FormatError
     (_checkpoint_blob(entries=_bad_key_entry(), n_entries=1), 2),
-], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8"])
+    (_tiny_checkpoint_blob(num_res_blocks="one"), 2),
+    (_tiny_checkpoint_blob(unroll_t=0), 2),
+    (_tiny_checkpoint_blob(unroll_t=2.5), 2),
+    (_tiny_checkpoint_blob(loss="zz"), 2),
+    (_tiny_checkpoint_blob(beta=7.0), 2),
+], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
+        "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range"])
 def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)
@@ -555,19 +626,20 @@ def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
     assert "img.pgm" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_update_exits_1_without_checkpoint(tmp_path, capsys):
-    # one step at lr = 1e39 overflows every parameter; the loss of that
-    # step is still finite, so only the check after the update sees it
+    # one step at lr = 3e38, still finite in float32, overflows the output
+    # kernel (the only one with a nonzero gradient at step 0, since it starts
+    # at zero); the loss of that step is still finite, so only the check
+    # after the update sees it
     cfg_path = _write(tmp_path / "c.cfg",
-                      TINY_CHAIN.replace("lr = 3e-4", "lr = 1e39")
+                      TINY_CHAIN.replace("lr = 3e-4", "lr = 3e38")
                       .replace("epochs = 2", "epochs = 1"))
     out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("npgd: error: non-finite") and err.count("\n") == 1
-    assert "at step 0" in err and "layer1.kernel" in err
+    assert "at step 0" in err and "layer2.kernel" in err
     assert not (out / "checkpoint.npgd").exists()
     assert not (out / "loss_trace.csv").exists()
 

@@ -6,7 +6,7 @@ import pytest
 from npgd.errors import CorruptionError, DimensionError, FormatError, ParameterError
 from npgd.rng import Xorshift64Star
 from npgd.sampling import (BITMASK_MAGIC, generate_vardens_mask, load_mask_bits,
-                           load_mask_pgm, save_mask_bits, save_mask_pgm)
+                           save_mask_bits, save_mask_pgm)
 
 
 def test_rate_one_gives_full_mask():
@@ -122,15 +122,6 @@ def test_mask_pgm_contents(tmp_path):
     raster = np.frombuffer(blob[len(b"P5\n16 16\n255\n"):], np.uint8).reshape(16, 16)
     assert np.array_equal(raster == 255, mask.bits)
     assert set(np.unique(raster)) <= {0, 255}
-
-
-def test_mask_pgm_round_trip(tmp_path):
-    mask = generate_vardens_mask(16, 16, 0.5, 0.05, 2.0, 4)
-    path = tmp_path / "m.pgm"
-    save_mask_pgm(mask, path)
-    loaded = load_mask_pgm(path)
-    assert np.array_equal(loaded.bits, mask.bits)
-    assert loaded.popcount == mask.popcount
 
 
 def test_xorshift_stream_is_reproducible():

@@ -126,9 +126,10 @@ def test_overfit_single_sample_smoke():
     imgs = generate_dataset(1, 16, PhantomSpec(), seed=30)
     op = MaskedFourierOperator(full_mask(16, 16))
     prox = ProximalConfig(feature_maps=8, normalization="none")
-    result = train(imgs, lambda i: op,
+    result = train(imgs, op,
                    UnrollConfig(iterations=1, alpha_init=1.0, beta=0.75),
-                   TrainConfig(lr=1e-2, epochs=200, batch_size=1, seed=0), prox)
+                   TrainConfig(lr=1e-2, epochs=200, batch_size=1, seed=0), prox,
+                   [op.apply(x) for x in imgs])
     first = result.trace[0][3]
     last = result.trace[-1][3]
     assert last <= first / 10.0, (first, last)
@@ -139,9 +140,9 @@ def test_training_is_seed_deterministic(tmp_path):
     op = _op(seed=32)
 
     def run():
-        res = train(imgs, lambda i: op, UnrollConfig(iterations=2),
+        res = train(imgs, op, UnrollConfig(iterations=2),
                     TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=5),
-                    ProximalConfig(feature_maps=4))
+                    ProximalConfig(feature_maps=4), [op.apply(x) for x in imgs])
         path = tmp_path / "trace.csv"
         write_trace_csv(res.trace, path)
         return path.read_bytes()
@@ -149,30 +150,31 @@ def test_training_is_seed_deterministic(tmp_path):
     assert run() == run()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_loss_aborts_with_diagnostic():
     imgs = generate_dataset(2, 16, PhantomSpec(), seed=33)
     op = _op(seed=34)
     with pytest.raises(NumericsError, match="step"):
-        train(imgs, lambda i: op, UnrollConfig(iterations=2),
+        train(imgs, op, UnrollConfig(iterations=2),
               TrainConfig(lr=1e12, epochs=50, batch_size=2, seed=0),
-              ProximalConfig(feature_maps=4, normalization="none"))
+              ProximalConfig(feature_maps=4, normalization="none"),
+              [op.apply(x) for x in imgs])
 
 
 def test_alpha_clamped_at_floor():
     imgs = generate_dataset(2, 16, PhantomSpec(), seed=35)
     op = _op(seed=36)
-    res = train(imgs, lambda i: op,
+    res = train(imgs, op,
                 UnrollConfig(iterations=1, alpha_init=2e-4),
                 TrainConfig(lr=0.5, epochs=3, batch_size=2, seed=1),
-                ProximalConfig(feature_maps=4, normalization="none"))
+                ProximalConfig(feature_maps=4, normalization="none"),
+                [op.apply(x) for x in imgs])
     assert float(res.alpha.value) >= float(np.float32(1e-4))
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(ParameterError):
-        train([], lambda i: None, UnrollConfig(), TrainConfig(), ProximalConfig())
+        train([], None, UnrollConfig(), TrainConfig(), ProximalConfig(), [])
 
 
 def test_reconstruct_deterministic_and_zero_input():

@@ -57,11 +57,10 @@ def _check_divisible(h: int, w: int, levels: int) -> None:
 
 
 def _pair(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """lo = (a + b) / sqrt(2) and hi = (a - b) / sqrt(2), written in place."""
-    np.add(a, b, out=lo)
-    lo *= _INV_SQRT2
-    np.subtract(a, b, out=hi)
-    hi *= _INV_SQRT2
+    """lo = (a + b) / sqrt(2) and hi = (a - b) / sqrt(2), scaled in contiguous
+    temporaries: scaling the strided output views in place is slower."""
+    np.multiply(a + b, _INV_SQRT2, out=lo)
+    np.multiply(a - b, _INV_SQRT2, out=hi)
 
 
 def haar2_forward(x: np.ndarray, levels: int) -> np.ndarray:
@@ -110,20 +109,23 @@ def soft_threshold(v: np.ndarray, lam) -> np.ndarray:
     if np.any(lam < 0):
         raise ParameterError("threshold must be >= 0")
     mag = magnitude(v)
-    factor = (np.maximum(mag - lam[..., None, None], 0.0) /
-              np.maximum(mag, np.finfo(np.float64).tiny)).astype(np.float32)
-    return v * factor[..., None, :, :]
+    factor = mag - lam[..., None, None]
+    np.maximum(factor, 0.0, out=factor)
+    factor /= np.maximum(mag, np.finfo(np.float64).tiny, out=mag)
+    return v * factor.astype(np.float32)[..., None, :, :]
 
 
 def cs_objective(x: np.ndarray, y: np.ndarray, op: LinearOperator,
-                 lam, levels: int):
+                 lam, levels: int, coeffs: Optional[np.ndarray] = None):
     """(objective, data_term, l1_term) of a (2, H, W) image; for an
     (N, 2, H, W) stack, with one lam per image, a list of one such triple
-    per image."""
+    per image. coeffs, shaped like x, stands in for haar2_forward(x, levels):
+    shrunk coefficients c with x = W^T c have ||c||_1 = ||W x||_1 up to roundoff."""
     stack = np.ndim(x) == 4
     xs, ys, lams = (x, y, lam) if stack else (x[None], y[None], [lam])
     resid = ys - op.apply(xs)
-    mags = magnitude(haar2_forward(xs, levels))
+    mags = magnitude(haar2_forward(xs, levels) if coeffs is None
+                     else np.reshape(coeffs, xs.shape))
     terms = []
     for r, m, lam_i in zip(resid, mags, lams):
         data = 0.5 * norm(r) ** 2
@@ -138,9 +140,11 @@ def _solver_step_size(op: LinearOperator) -> float:
 
 
 def _prox_step(x: np.ndarray, y: np.ndarray, op: LinearOperator,
-               alpha: float, lam, levels: int) -> np.ndarray:
+               alpha: float, lam, levels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The next iterate and the shrunk Haar coefficients it is built from."""
     u = gradient_step(x, y, alpha, op)
-    return haar2_inverse(soft_threshold(haar2_forward(u, levels), alpha * lam), levels)
+    c = soft_threshold(haar2_forward(u, levels), alpha * lam)
+    return haar2_inverse(c, levels), c
 
 
 def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
@@ -162,7 +166,7 @@ def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
     start = [row[0] for row in cs_objective(x, ys, op, lams, cfg.levels)]
     traces = [[] for _ in ys]
     for it in range(1, cfg.iterations + 1):
-        x_next = _prox_step(z, ys, op, alpha, lams, cfg.levels)
+        x_next, coeffs = _prox_step(z, ys, op, alpha, lams, cfg.levels)
         if momentum:
             t_next = nesterov_next_t(t_k)
             # t_next is float64: cast, or the image would promote to float64
@@ -171,7 +175,7 @@ def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
         else:
             z = x_next
         x = x_next
-        for i, row in enumerate(cs_objective(x, ys, op, lams, cfg.levels)):
+        for i, row in enumerate(cs_objective(x, ys, op, lams, cfg.levels, coeffs)):
             traces[i].append((it,) + row)
             if start[i] > 0 and row[0] > 10.0 * start[i]:
                 where = f"image {i}, " if stack else ""

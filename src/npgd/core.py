@@ -88,28 +88,36 @@ def magnitude(x: np.ndarray) -> np.ndarray:
     """Pixelwise |re + i im| of a (..., 2, H, W) image or stack, in float64
     with the plane axis dropped. Round to float32 where a stored image or
     an image metric expects float32."""
-    return np.sqrt(x[..., 0, :, :].astype(np.float64) ** 2
-                   + x[..., 1, :, :].astype(np.float64) ** 2)
+    re = x[..., 0, :, :].astype(np.float64)
+    im = x[..., 1, :, :].astype(np.float64)
+    re *= re
+    re += np.multiply(im, im, out=im)
+    return np.sqrt(re, out=re)
 
 
-def _fft(x: np.ndarray, transform) -> np.ndarray:
+def to_complex(x: np.ndarray) -> np.ndarray:
+    """complex64 (..., H, W) form of a (..., 2, H, W) image or stack, H and W powers of two."""
     _check_planes(x, "fft")
     check_power_of_two(x.shape[-2], "height")
     check_power_of_two(x.shape[-1], "width")
     z = np.empty(x.shape[:-3] + x.shape[-2:], np.complex64)
     z.real = x[..., 0, :, :]
     z.imag = x[..., 1, :, :]
-    # not out=z: numpy 2.4's ifft2 with out= returns wrong values
-    f = transform(z, norm="ortho")
-    return np.stack((f.real, f.imag), axis=-3)
+    return z
+
+
+def to_planes(z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_complex`: the (..., 2, H, W) planes of z."""
+    return np.stack((z.real, z.imag), axis=-3)
 
 
 def fft2(x: np.ndarray) -> np.ndarray:
     """Unitary 2D DFT of a (..., 2, H, W) image or stack, per image. H and W
     must be powers of two."""
-    return _fft(x, np.fft.fft2)
+    return to_planes(np.fft.fft2(to_complex(x), norm="ortho"))
 
 
 def ifft2(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2` (also unitary)."""
-    return _fft(x, np.fft.ifft2)
+    # not out=: numpy 2.4's ifft2 with out= returns wrong values
+    return to_planes(np.fft.ifft2(to_complex(x), norm="ortho"))

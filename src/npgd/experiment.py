@@ -11,7 +11,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def build_operator(cfg: ExperimentConfig):
 
 
 def simulate_measurements(images: Sequence[np.ndarray], op: LinearOperator,
-                          noise_std: float = 0.0, seed: int = 0
-                          ) -> List[np.ndarray]:
+                          noise_std: float = 0.0,
+                          seed: Union[int, Sequence[int]] = 0) -> List[np.ndarray]:
     ys = [op.apply(x) for x in images]
     if noise_std > 0:
         rng = np.random.default_rng(seed)
@@ -130,13 +130,18 @@ def _setup(cfg: ExperimentConfig):
     return train_set, test_set, op
 
 
+TRAIN, HELD_OUT, VALIDATION = 0, 1, 2  # noise streams of the image sets
+
+
 def _measure(cfg: ExperimentConfig, op: LinearOperator,
-             images: Sequence[np.ndarray],
+             images: Sequence[np.ndarray], stream: int,
              noise_std: Optional[float] = None) -> List[np.ndarray]:
     """Simulated measurements of images, with the config's noise unless
-    noise_std says otherwise."""
+    noise_std says otherwise. Training images draw their noise from
+    data_seed and every other image set from [data_seed, stream]."""
     std = cfg.noise_std if noise_std is None else noise_std
-    return simulate_measurements(images, op, std, cfg.data_seed)
+    seed = cfg.data_seed if stream == TRAIN else [cfg.data_seed, stream]
+    return simulate_measurements(images, op, std, seed)
 
 
 def _pmap(fn, items, threads: int):
@@ -231,7 +236,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str, log) -> None:
     train_set, _, op = _setup(cfg)
     unroll_cfg = cfg.unroll_config()
     result = train(train_set, op, unroll_cfg, cfg.train_config(), cfg.prox_config(),
-                   _measure(cfg, op, train_set), log=log)
+                   _measure(cfg, op, train_set, TRAIN), log=log)
     ckpt_path = os.path.join(out_dir, "checkpoint.npgd")
     ckpt_io.save(result.to_checkpoint(unroll_cfg, cfg.train_seed), ckpt_path)
     write_trace_csv(result.trace, os.path.join(out_dir, "loss_trace.csv"))
@@ -251,9 +256,11 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
-    pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
+    t0 = time.perf_counter()
     solved = _pmap(lambda pair: reconstruct(net, alpha, op, pair[1], ck.unroll_t),
                    pairs, cfg.threads)
+    per_image = (time.perf_counter() - t0) / len(pairs)
     rows, zero_filled = _evaluate(op, pairs, [xhat for xhat, _ in solved])
     for i, ((x_true, _), (xhat, _), zf) in enumerate(zip(pairs, solved, zero_filled)):
         write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), _magnitude32(xhat))
@@ -264,17 +271,18 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str, log) -> None:
                for t, r in enumerate(residuals, start=1)])
     path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
     log(f"mean SNR {mean_snr(rows):.2f} dB (zero-filled "
-        f"{float(np.mean([r.snr_zf for r in rows])):.2f} dB) -> {path}")
+        f"{float(np.mean([r.snr_zf for r in rows])):.2f} dB), "
+        f"{per_image:.3g} s/image -> {path}")
 
 
 def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, test_set, op = _setup(cfg)
-    pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
     cs = cfg.cs_config()
     if cfg.cs_lambda is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
-        ys_val = _measure(cfg, op, val)
+        ys_val = _measure(cfg, op, val, VALIDATION)
         grid = default_lambda_grid(ys_val, op, cfg.cs_levels,
                                    points=cfg.cs_grid_points,
                                    lo=cfg.cs_grid_lo, hi=cfg.cs_grid_hi)
@@ -282,20 +290,23 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
         log(f"tuned lambda = {cs.lam:.6g}")
     solve = fista if cs.solver == "fista" else ista
     # the held-out set is one batch; threads does not apply
+    t0 = time.perf_counter()
     estimates, traces = solve(np.stack([y for _, y in pairs]), op, cs)
+    per_solve = (time.perf_counter() - t0) / len(pairs)
     rows, _ = _evaluate(op, pairs, estimates)
     for i, trace in enumerate(traces):
         write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
                   ("iter", "objective", "data_term", "l1_term"), trace)
     path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)
-    log(f"CS baseline (lambda={cs.lam:.4g}): mean SNR {mean_snr(rows):.2f} dB -> {path}")
+    log(f"CS baseline (lambda={cs.lam:.4g}): mean SNR {mean_snr(rows):.2f} dB, "
+        f"{per_solve:.3g} s/solve -> {path}")
 
 
 def run_analyze(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
-    pairs = list(zip(test_set, _measure(cfg, op, test_set, noise_std=0.0)))
+    pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT, noise_std=0.0)))
     traces, _ = analyze_trajectory(net, alpha, op, pairs, ck.unroll_t, out_dir=out_dir)
     debias_rows = []
     for tr, (_, y) in zip(traces, pairs):
@@ -318,8 +329,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     cells = parse_sweep_grid(cfg.sweep_grid)
     train_set, test_set, op = _setup(cfg)
-    ys_train = _measure(cfg, op, train_set)
-    test_pairs = list(zip(test_set, _measure(cfg, op, test_set)))
+    ys_train = _measure(cfg, op, train_set, TRAIN)
+    test_pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
     prox_cfg, unroll_cfg = cfg.prox_config(), cfg.unroll_config()
     rows = []
     for t, rb in cells:

@@ -12,7 +12,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .autograd import Tape, Variable
-from .core import fft2, ifft2, norm
+from .core import fft2, ifft2, norm, to_complex, to_planes
 from .errors import DimensionError, ShapeError
 from .sampling import SamplingMask
 
@@ -33,6 +33,10 @@ class LinearOperator:
     def normal_channels(self, x2: np.ndarray) -> np.ndarray:
         """adjoint(apply(x)) on a (2, H, W) plane stack."""
         return self.adjoint(self.apply(x2))
+
+    def residual_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """adjoint(y - apply(x)), the negative data-term gradient at x."""
+        return self.adjoint(y - self.apply(x))
 
 
 def _check(x: np.ndarray, hw: tuple, what: str) -> None:
@@ -57,6 +61,15 @@ class MaskedFourierOperator(LinearOperator):
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         _check(y, self.out_shape, "mf_adjoint")
         return ifft2(np.where(self._bits, y, np.float32(0)))
+
+    def residual_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Bit for bit adjoint(y - apply(x)), with one complex round trip."""
+        _check(x, self.in_shape, "mf_apply")
+        _check(y, self.out_shape, "mf_adjoint")
+        f = np.fft.fft2(to_complex(x), norm="ortho")
+        r = np.where(self._bits, to_complex(y) - f, np.complex64(0))
+        # not out=: numpy 2.4's ifft2 with out= returns wrong values
+        return to_planes(np.fft.ifft2(r, norm="ortho"))
 
 
 class BoxDownsampleOperator(LinearOperator):
@@ -83,7 +96,7 @@ class BoxDownsampleOperator(LinearOperator):
 def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,
                   op: LinearOperator) -> np.ndarray:
     """One data-consistency step: x + alpha * adjoint(y - apply(x))."""
-    return x + np.float32(alpha) * op.adjoint(y - op.apply(x))
+    return x + np.float32(alpha) * op.residual_adjoint(x, y)
 
 
 def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],

@@ -54,6 +54,16 @@ def nonzero_complex_image(h, w, seed=0):
     return np.stack((re, im)).astype(np.float32)
 
 
+def images_with_zero_pixels(shape, seed):
+    """Standard normal (..., 2, H, W) planes with pixel (0, 0) zero in both
+    planes and column 1 zero in the imaginary plane."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    x[..., :, 0, 0] = 0.0
+    x[..., 1, :, 1] = 0.0
+    return x
+
+
 def full_mask(h, w):
     return SamplingMask(h, w, np.ones((h, w), bool))
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from npgd import baselines
 from npgd.baselines import (CsConfig, cs_objective, default_lambda_grid, fista,
                             haar2_forward, haar2_inverse, ista, nesterov_next_t,
                             soft_threshold, tune_lambda)
-from npgd.core import ifft2, norm
+from npgd.core import ifft2, magnitude, norm
 from npgd.errors import DimensionError, ParameterError, SolverError
 from npgd.metrics import snr_db
 from npgd.operators import (BoxDownsampleOperator, LinearOperator,
                             MaskedFourierOperator, gradient_step)
 from npgd.sampling import generate_vardens_mask
 
-from conftest import full_mask, random_complex_image
+from conftest import full_mask, images_with_zero_pixels, random_complex_image
 
 
 def _haar_matrix_one_level(n):
@@ -215,6 +216,20 @@ def test_cs_objective_terms():
     assert data == pytest.approx(0.5 * norm(y - x) ** 2, rel=1e-6)
 
 
+def test_cs_objective_takes_coefficients():
+    # coefficients passed in stand in for the transform of x, image by image
+    op = _IdentityOperator(8)
+    xs = np.stack([random_complex_image(8, 8, seed=8 + i) for i in range(2)])
+    ys = np.stack([random_complex_image(8, 8, seed=10 + i) for i in range(2)])
+    c = haar2_forward(xs, 2)
+    assert cs_objective(xs[0], ys[0], op, 0.1, 2, coeffs=c[0]) == \
+        cs_objective(xs[0], ys[0], op, 0.1, 2)
+    rows = cs_objective(xs, ys, op, [0.1, 0.2], 2, coeffs=2 * c)
+    for i, (_, data, l1) in enumerate(rows):
+        _, want_data, want_l1 = cs_objective(xs[i], ys[i], op, 0.1 * (i + 1), 2)
+        assert (data, l1) == (want_data, 2 * want_l1)
+
+
 def test_tune_lambda_grid_of_one_and_duplicates():
     mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 8)
     op = MaskedFourierOperator(mask)
@@ -273,12 +288,14 @@ def test_cs_config_validation():
 
 def _reference_solve(y, op, lam, levels, iterations, momentum):
     """Plain float32 loop on one image at unit step (both operators here
-    have norm <= 1)."""
+    have norm <= 1). Returns the last iterate and the shrunk coefficients
+    it is the inverse transform of."""
     x_prev = z = np.zeros((2,) + op.in_shape, np.float32)
     t = 1.0
     for _ in range(iterations):
         u = haar2_forward(gradient_step(z, y, 1.0, op), levels)
-        x = haar2_inverse(soft_threshold(u, lam), levels)
+        c = soft_threshold(u, lam)
+        x = haar2_inverse(c, levels)
         if momentum:
             t_next = nesterov_next_t(t)
             z = x + np.float32((t - 1.0) / t_next) * (x - x_prev)
@@ -286,7 +303,7 @@ def _reference_solve(y, op, lam, levels, iterations, momentum):
         else:
             z = x
         x_prev = x
-    return x_prev
+    return x_prev, c
 
 
 @pytest.mark.parametrize("solver", ["ista", "fista"])
@@ -307,14 +324,21 @@ def test_stack_matches_reference_loop_per_image(solver, n, task):
     assert xs.shape == (n, 2, h, w) and xs.dtype == np.float32
     assert len(traces) == n
     for i in range(n):
-        ref = _reference_solve(ys[i], op, lams[i], levels, 6, solver == "fista")
+        ref, ref_c = _reference_solve(ys[i], op, lams[i], levels, 6, solver == "fista")
         assert np.array_equal(xs[i], ref)
         alone_x, alone_trace = solve(ys[i], op, CsConfig(lam=lams[i], iterations=6,
                                                          solver=solver, levels=levels))
         assert alone_x.dtype == np.float32
         assert np.array_equal(alone_x, ref)
         assert traces[i] == alone_trace
-        assert traces[i][-1][1:] == cs_objective(ref, ys[i], op, lams[i], levels)
+        # the trace's l1 term is lambda * ||c||_1 of the solver's own shrunk
+        # coefficients c: ||W x||_1 up to roundoff, as W is orthonormal
+        _, obj, data, l1 = traces[i][-1]
+        _, want_data, want_l1 = cs_objective(ref, ys[i], op, lams[i], levels)
+        assert data == want_data
+        assert l1 == lams[i] * float(np.sum(magnitude(ref_c)))
+        assert l1 == pytest.approx(want_l1, rel=1e-6)
+        assert obj == data + l1
 
 
 def test_stack_with_one_diverging_image_raises():
@@ -379,3 +403,44 @@ def test_tune_lambda_table_matches_separate_solves():
         alone = CsConfig(lam=lam, iterations=8, solver="fista", levels=2)
         snrs = [snr_db(fista(y, op, alone)[0], x) for x, y in val]
         assert mean_snr == float(np.mean(snrs))
+
+
+# ---------------------------------------------------------------------------
+# rewritten primitives, bit for bit against their earlier formulas
+
+
+def _in_place_pair(a, b, lo, hi):
+    """The Haar butterfly that scales the strided outputs in place."""
+    np.add(a, b, out=lo)
+    lo *= np.float32(1.0 / np.sqrt(2.0))
+    np.subtract(a, b, out=hi)
+    hi *= np.float32(1.0 / np.sqrt(2.0))
+
+
+def _soft_threshold_reference(v, lam):
+    lam = np.asarray(lam, np.float64)
+    mag = np.sqrt(v[..., 0, :, :].astype(np.float64) ** 2
+                  + v[..., 1, :, :].astype(np.float64) ** 2)
+    factor = (np.maximum(mag - lam[..., None, None], 0.0) /
+              np.maximum(mag, np.finfo(np.float64).tiny)).astype(np.float32)
+    return v * factor[..., None, :, :]
+
+
+@pytest.mark.parametrize("shape,levels", [((2, 16, 16), 1), ((2, 8, 32), 3),
+                                          ((3, 2, 32, 16), 4), ((2, 2, 8, 8), 3)])
+def test_haar_bit_equal_to_in_place_pair(shape, levels, monkeypatch):
+    x = images_with_zero_pixels(shape, seed=shape[-1] + levels)
+    got_c, got_x = haar2_forward(x, levels), haar2_inverse(x, levels)
+    monkeypatch.setattr(baselines, "_pair", _in_place_pair)
+    assert np.array_equal(got_c, haar2_forward(x, levels))
+    assert np.array_equal(got_x, haar2_inverse(x, levels))
+
+
+@pytest.mark.parametrize("shape,lam", [((2, 8, 8), 0.5), ((2, 4, 16), 0.0),
+                                       ((3, 2, 16, 4), [0.0, 0.3, 1.0])])
+def test_soft_threshold_bit_equal_to_reference(shape, lam):
+    v = images_with_zero_pixels(shape, seed=len(shape))
+    got = soft_threshold(v, lam)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, _soft_threshold_reference(v, lam))
+    assert not got[..., 0, 0].any()

@@ -283,6 +283,44 @@ def test_train_reconstruct_baseline_roundtrip(tmp_path, capsys):
     assert trace_header == "iter,objective,data_term,l1_term"
 
 
+def test_noise_streams_are_separate_per_image_set(tmp_path, monkeypatch):
+    # held-out image i and validation image i draw their own noise, not
+    # training image i's; the training measurements keep their draws
+    from npgd import experiment
+    noise = []
+    real = experiment.simulate_measurements
+
+    def recording(images, op, noise_std=0.0, seed=0):
+        ys = real(images, op, noise_std, seed)
+        noise.append([y - op.apply(x) for x, y in zip(images, ys)])
+        return ys
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop  # the training measurements are all this test needs
+
+    monkeypatch.setattr(experiment, "simulate_measurements", recording)
+    monkeypatch.setattr(experiment, "train", stop)
+    cfg = parse_config_text(TINY_MRI.replace("cs_iterations = 25", "cs_iterations = 2")
+                            + "noise_std = 0.05\n")
+    with pytest.raises(Stop):
+        experiment.run_train(cfg, str(tmp_path / "t"), lambda line: None)
+    experiment.run_baseline(cfg, str(tmp_path / "b"), lambda line: None)
+    train_noise, held_out_noise, val_noise = noise
+
+    train_set, _, op = experiment._setup(cfg)
+    rng = np.random.default_rng(cfg.data_seed)
+    for x, n in zip(train_set, train_noise):
+        y = op.apply(x) + rng.normal(0, 0.05, x.shape).astype(np.float32)
+        assert np.array_equal(n, y - op.apply(x))
+    for i, n in enumerate(train_noise[:2]):
+        assert np.abs(held_out_noise[i] - n).max() > 0.05
+        assert np.abs(val_noise[i] - n).max() > 0.05
+        assert np.abs(val_noise[i] - held_out_noise[i]).max() > 0.05
+
+
 TOY_TRAINED = """
 task = mri
 image_size = 16
@@ -465,6 +503,22 @@ def test_reconstruct_writes_residuals(tmp_path):
         expected += [f"{i},{t},{r:.9g}" for t, r in enumerate(residuals, start=1)]
     assert len(expected) == 2 * 2
     assert lines[1:] == expected
+
+
+def test_reconstruct_and_baseline_report_seconds_per_image(tmp_path, capsys):
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    rec_cfg = _write(tmp_path / "r.cfg", TINY_MRI + "checkpoint_path = "
+                     f"{tmp_path / 'run' / 'checkpoint.npgd'}\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "rec")]) == 0
+    assert main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "cs")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    number = r"-?[0-9.]+(e[-+][0-9]+)?"
+    assert re.fullmatch(rf"mean SNR {number} dB \(zero-filled {number} dB\), "
+                        rf"{number} s/image -> .*metrics\.csv", lines[0])
+    assert re.fullmatch(rf"CS baseline \(lambda={number}\): mean SNR {number} dB, "
+                        rf"{number} s/solve -> .*cs_metrics\.csv", lines[-1])
 
 
 TINY_CHAIN = """

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from npgd.core import ComplexImage, dot, fft2, ifft2, magnitude, norm
+from npgd.core import (ComplexImage, dot, fft2, ifft2, magnitude, norm, to_complex,
+                       to_planes)
 from npgd.errors import DimensionError, ShapeError
 
-from conftest import random_complex_image
+from conftest import images_with_zero_pixels, random_complex_image
 
 
 def test_fft2_delta_becomes_flat_spectrum():
@@ -163,3 +164,27 @@ def test_fft_stack_rejects_bad_trailing_shape():
         for bad in ((4, 2, 8, 12), (4, 2, 12, 8)):
             with pytest.raises(DimensionError):
                 transform(np.zeros(bad, np.float32))
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 8), (3, 2, 4, 16), (2, 3, 2, 16, 4)])
+def test_magnitude_bit_equal_to_reference(shape):
+    x = images_with_zero_pixels(shape, seed=len(shape))
+    want = np.sqrt(x[..., 0, :, :].astype(np.float64) ** 2
+                   + x[..., 1, :, :].astype(np.float64) ** 2)
+    got = magnitude(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert not got[..., 0, 0].any()
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 8), (3, 2, 4, 16)])
+def test_fft_bit_equal_to_reference(shape):
+    x = images_with_zero_pixels(shape, seed=7)
+    z = np.empty(x.shape[:-3] + x.shape[-2:], np.complex64)
+    z.real = x[..., 0, :, :]
+    z.imag = x[..., 1, :, :]
+    assert np.array_equal(to_complex(x), z)
+    assert np.array_equal(to_planes(z), x)
+    for transform, numpy_fn in ((fft2, np.fft.fft2), (ifft2, np.fft.ifft2)):
+        f = numpy_fn(z, norm="ortho")
+        assert np.array_equal(transform(x), np.stack((f.real, f.imag), axis=-3))

@@ -7,7 +7,7 @@ from npgd.operators import (BoxDownsampleOperator, MaskedFourierOperator,
                             data_residual_sq, gradient_step,
                             gradient_step_channels, power_iteration)
 from npgd.autograd import Tape, Variable, backward
-from npgd.sampling import generate_vardens_mask
+from npgd.sampling import SamplingMask, generate_vardens_mask
 
 from conftest import empty_mask, full_mask, random_complex_image
 
@@ -252,3 +252,45 @@ def test_operators_reject_bad_stack_shapes(op):
     for bad in ((4, 3, oh, ow), (4, 2, ow, oh), (4, 2, oh + 2, ow)):
         with pytest.raises(ShapeError):
             op.adjoint(np.zeros(bad, np.float32))
+
+
+def _two_pass_fft(x, transform):
+    """The unitary FFT as packed, transformed and unpacked before
+    residual_adjoint existed."""
+    z = np.empty(x.shape[:-3] + x.shape[-2:], np.complex64)
+    z.real = x[..., 0, :, :]
+    z.imag = x[..., 1, :, :]
+    f = transform(z, norm="ortho")
+    return np.stack((f.real, f.imag), axis=-3)
+
+
+def _two_pass_residual_adjoint(op, x, y):
+    """adjoint(y - apply(x)) as two operator calls in the plane layout,
+    with the masked Fourier pair written out."""
+    if not isinstance(op, MaskedFourierOperator):
+        return op.adjoint(y - op.apply(x))
+    bits = op.mask.natural_bits()
+    ax = np.where(bits, _two_pass_fft(x, np.fft.fft2), np.float32(0))
+    return _two_pass_fft(np.where(bits, y - ax, np.float32(0)), np.fft.ifft2)
+
+
+@pytest.mark.parametrize("n", [None, 1, 3])
+@pytest.mark.parametrize("hw", [(16, 16), (8, 32), (32, 8)])
+@pytest.mark.parametrize("task", ["fourier", "box"])
+def test_residual_adjoint_bit_equal_to_two_passes(task, hw, n):
+    h, w = hw
+    rng = np.random.default_rng(h * w + (n or 0))
+    if task == "fourier":
+        op = MaskedFourierOperator(SamplingMask(h, w, rng.random((h, w)) < 0.4))
+    else:
+        op = BoxDownsampleOperator(h, w)
+    lead = () if n is None else (n,)
+    x = rng.standard_normal(lead + (2, h, w)).astype(np.float32)
+    # y is nonzero off the mask too, as a noisy measurement is
+    y = rng.standard_normal(lead + (2,) + op.out_shape).astype(np.float32)
+    want = _two_pass_residual_adjoint(op, x, y)
+    got = op.residual_adjoint(x, y)
+    assert got.dtype == np.float32 and got.shape == x.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, op.adjoint(y - op.apply(x)))
+    assert np.array_equal(gradient_step(x, y, 0.7, op), x + np.float32(0.7) * want)

@@ -161,6 +161,8 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
             value = r.text(vlen)
         else:
             raise FormatError(f"{origin}: unknown entry tag {tag}")
+        if key in meta:
+            raise FormatError(f"{origin}: duplicate config entry {key!r}")
         meta[key] = (tag, value)
 
     alpha, = r.unpack("<f")
@@ -168,9 +170,13 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
     params: Dict[str, np.ndarray] = {}
     adam_m: Dict[str, np.ndarray] = {}
     adam_v: Dict[str, np.ndarray] = {}
+    names = set()
     for _ in range(n_records):
         nlen, = r.unpack("<H")
         name = r.text(nlen)
+        if name in names:
+            raise FormatError(f"{origin}: duplicate record {name!r}")
+        names.add(name)
         rank, = r.unpack("<B")
         dims = tuple(r.unpack("<I")[0] for _ in range(rank))
         count = math.prod(dims)  # exact: np.prod of huge dims wraps around

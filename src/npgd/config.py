@@ -197,8 +197,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), origin=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text file") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def parse_sweep_grid(spec: str):

@@ -29,11 +29,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .autograd import Variable
 from .core import norm
-from .errors import ContractError, UndefinedRatioError, UnsupportedConfigError
-from .operators import LinearOperator, gradient_step
-from .proxnet import MaskSnapshot, ProximalNet, capture_masks
-from .unroll import unrolled_forward, write_csv
+from .errors import ContractError
+from .operators import LinearOperator, gradient_step, gradient_step_channels, preconditioned
+from .proxnet import MaskSnapshot, ProximalNet
+from .unroll import write_csv
 
 
 class FrozenAffineMap:
@@ -44,12 +45,6 @@ class FrozenAffineMap:
     """
 
     def __init__(self, net: ProximalNet, snapshot: MaskSnapshot):
-        if net.config.normalization != "none":
-            raise UnsupportedConfigError(
-                "frozen-mask analysis requires normalization=none")
-        if snapshot.signature != net.config.signature:
-            raise ContractError(f"snapshot from {snapshot.signature!r} "
-                                f"cannot drive {net.config.signature!r}")
         self.net = net
         self.snapshot = snapshot
         self._at_zero: Optional[np.ndarray] = None
@@ -57,31 +52,10 @@ class FrozenAffineMap:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.net.forward_frozen(u, self.snapshot)
 
-    def at_zero(self) -> np.ndarray:
-        if self._at_zero is None:
-            shape = self.snapshot.masks[0].shape[1:]
-            self._at_zero = self(np.zeros((2,) + shape, np.float32))
-        return self._at_zero
-
     def linear(self, v: np.ndarray) -> np.ndarray:
-        return self(v) - self.at_zero()
-
-
-def _preconditioned(op: LinearOperator, alpha: float, delta2: np.ndarray) -> np.ndarray:
-    """(I - alpha * adjoint(apply(.))) applied to a plane stack."""
-    return delta2 - np.float32(alpha) * op.normal_channels(delta2)
-
-
-def xi_vector(net: ProximalNet, x_star: np.ndarray) -> np.ndarray:
-    """forward(x*) - x*: how far the truth is from being a fixed point."""
-    return net.forward(x_star).value - x_star
-
-
-def _require_noiseless(op: LinearOperator, x_star: np.ndarray,
-                       y: np.ndarray) -> None:
-    ref = max(norm(y), 1e-12)
-    if norm(y - op.apply(x_star)) > 1e-4 * ref:
-        raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
+        if self._at_zero is None:
+            self._at_zero = self(np.zeros(v.shape, np.float32))
+        return self(v) - self._at_zero
 
 
 def bound_slack(eta1_t: float, eta2_t: float, delta_norm: float,
@@ -117,22 +91,26 @@ def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
 
     m_star is the proximal frozen at the truth x_*, m_t the proximal frozen
     at s_{t+1}, and xi = forward(x_*) - x_*. The residual is exact only for
-    noiseless y = apply(x_*). Raises UndefinedRatioError when x_t = x_*;
-    the NRMSE against a zero truth is inf.
+    noiseless y = apply(x_*). At x_t = x_* the row reports eta1 = eta2 = 0 and
+    NRMSE 0 in place of 0/0; its residual and slack use the same formulas as
+    every other row. Otherwise the NRMSE against a zero truth is inf.
     """
     delta = x_t - x_star
     dn = norm(delta)
-    if dn == 0.0:
-        raise UndefinedRatioError("eta1/eta2 undefined for a zero perturbation")
     err_next = norm(x_next - x_star)
-    w = _preconditioned(op, alpha, delta)
+    w = preconditioned(op, alpha, delta)
     term_frozen = m_star.linear(w)
     u = x_star + w
     perturb = m_t(u) - m_star(u)
-    e1, e2, xi_n = norm(term_frozen) / dn, norm(perturb) / dn, norm(xi)
+    if dn == 0.0:
+        nrmse = e1 = e2 = 0.0
+    else:
+        ref = norm(x_star)
+        nrmse = dn / ref if ref > 0.0 else float("inf")
+        e1, e2 = norm(term_frozen) / dn, norm(perturb) / dn
+    xi_n = norm(xi)
     resid = norm((x_next - x_star) - (term_frozen + perturb + xi))
-    ref = norm(x_star)
-    return TraceRow(t, dn / ref if ref > 0.0 else float("inf"), e1, e2, xi_n, resid,
+    return TraceRow(t, nrmse, e1, e2, xi_n, resid,
                     bound_slack(e1, e2, dn, xi_n, err_next), dn, err_next)
 
 
@@ -185,39 +163,32 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
                        ) -> Tuple[List[ContractionTrace], List[tuple]]:
     """Per-sample contraction traces over (ground truth, measurement) pairs.
 
-    Row t covers iterate x_t and the transition to x_{t+1} (one extra
-    proximal application extends the last transition past x_T). When
-    out_dir is given, writes trace_NNNN.csv per sample plus aggregate.csv.
+    Row t covers iterate x_t and the transition to x_{t+1}, the last one
+    through s_{T+1} = g(x_T; y). One forward at x_* gives xi and M_*, and one
+    per state s_{t+1} gives both x_{t+1} and M_t. When out_dir is given,
+    writes trace_NNNN.csv per sample plus aggregate.csv.
     """
-    if net.config.normalization != "none":
-        raise UnsupportedConfigError(
-            "contraction analysis requires a chain or normalization-free model")
     traces = []
     for idx, (x_star, y) in enumerate(test_set):
-        _require_noiseless(op, x_star, y)
-        traj = unrolled_forward(net, op, y, iterations, alpha)
-        m_star = FrozenAffineMap(net, capture_masks(net, x_star))
-        xi_vec = xi_vector(net, x_star)
-        s_extra = gradient_step(traj.final, y, alpha, op)
-        xs = traj.x + [net.forward(s_extra).value]
-        s_states = traj.s[1:] + [s_extra]
+        if norm(y - op.apply(x_star)) > 1e-4 * max(norm(y), 1e-12):
+            raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
+        fx_star, masks_star = net.forward_and_masks(x_star)
+        m_star, xi = FrozenAffineMap(net, masks_star), fx_star - x_star
+        ahy = op.adjoint(y)
 
+        def step(x):  # the unrolled loop's gradient step, bit for bit
+            return gradient_step_channels(Variable(x), alpha, op, ahy).value
+
+        x_t = net.forward(step(np.zeros((2,) + tuple(op.in_shape), np.float32))).value
         rows = []
         for t in range(1, iterations + 1):
-            x_next = xs[t]
-            masks_t = capture_masks(net, s_states[t - 1])
-            try:
-                rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t),
-                                             xi_vec, op, alpha, x_star, xs[t - 1], x_next))
-            except UndefinedRatioError:
-                # already exactly at the truth: ratios are undefined; record
-                # zeros so the trace stays finite
-                xi, err_next = norm(xi_vec), norm(x_next - x_star)
-                rows.append(TraceRow(t, 0.0, 0.0, 0.0, xi,
-                                     norm((x_next - x_star) - xi_vec),
-                                     bound_slack(0.0, 0.0, 0.0, xi, err_next),
-                                     0.0, err_next))
-        traces.append(ContractionTrace(idx, rows, traj.final, masks_t))
+            s_next = step(x_t) if t < iterations else gradient_step(x_t, y, alpha, op)
+            x_next, masks_t = net.forward_and_masks(s_next)
+            rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
+                                         op, alpha, x_star, x_t, x_next))
+            if t < iterations:
+                x_t = x_next
+        traces.append(ContractionTrace(idx, rows, x_t, masks_t))
 
     aggregate = []
     for t in range(1, iterations + 1):

@@ -61,7 +61,3 @@ class NumericsError(NpgdError):
 
 class UndefinedMetricError(NpgdError):
     """A metric is undefined for these inputs (zero reference, zero range)."""
-
-
-class UndefinedRatioError(NpgdError):
-    """A norm ratio is undefined because the denominator vanishes."""

@@ -99,6 +99,11 @@ def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,
     return x + np.float32(alpha) * op.residual_adjoint(x, y)
 
 
+def preconditioned(op: LinearOperator, alpha: float, v: np.ndarray) -> np.ndarray:
+    """(I - alpha * adjoint(apply(.))) v on a plane stack."""
+    return v - np.float32(alpha) * op.normal_channels(v)
+
+
 def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
                            op: LinearOperator, ahy: np.ndarray,
                            tape: Optional[Tape] = None) -> Variable:
@@ -114,7 +119,7 @@ def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
     direction = ahy - op.normal_channels(x_var.value)
     out = Variable(x_var.value + np.float32(a) * direction)
     if tape is not None:
-        pulls = [(x_var, lambda g: g - np.float32(a) * op.normal_channels(g))]
+        pulls = [(x_var, lambda g: preconditioned(op, a, g))]
         if alpha_var is not None:
             pulls.append((alpha_var, lambda g: np.float32(
                 np.sum(g.astype(np.float64) * direction.astype(np.float64)))))

@@ -2,9 +2,10 @@
 
 Float planes are stored as 16-bit P5 with a header comment
 ``# range <vmin> <vmax>`` recording the affine decode map
-v = vmin + raw / 65535 * (vmax - vmin). Plain 8/16-bit PGMs without the
-comment decode to [0, 1] by dividing by maxval, which is what directory
-ingestion of user images expects. P2 (ASCII) is accepted on read.
+v = vmin + raw / maxval * (vmax - vmin), with maxval 65535 on write.
+Plain 8/16-bit PGMs without the comment decode to [0, 1] by dividing by
+maxval, which is what directory ingestion of user images expects. P2
+(ASCII) is accepted on read.
 """
 
 from __future__ import annotations
@@ -103,5 +104,5 @@ def read_pgm(path) -> np.ndarray:
         raw = np.frombuffer(payload[:need], dtype=dtype).reshape(h, w).astype(np.float64)
     if rng is not None:
         vmin, vmax = rng
-        return (vmin + raw / 65535.0 * (vmax - vmin)).astype(np.float32)
+        return (vmin + raw / maxval * (vmax - vmin)).astype(np.float32)
     return (raw / maxval).astype(np.float32)

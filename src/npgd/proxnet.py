@@ -18,6 +18,7 @@ affine (the basis of the contraction diagnostics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -72,24 +73,6 @@ class ProximalConfig:
         return f"chain/l{self.chain_layers}/k{self.chain_kernel}/f{self.feature_maps}"
 
 
-def parameter_count(config: ProximalConfig) -> int:
-    """Closed-form size of the parameter vector for a config."""
-    f = config.feature_maps
-    if config.arch == "resnet":
-        head = 9 * 2 * f + f
-        block = 2 * (9 * f * f + f)
-        if config.normalization == "instance":
-            block += 4 * f
-        tail = 2 * (f * f + f) + (2 * f + 2)
-        return head + config.num_res_blocks * block + tail
-    k2 = config.chain_kernel ** 2
-    if config.chain_layers == 1:
-        return k2 * 2 * 2 + 2
-    total = (k2 * 2 * f + f) + (k2 * f * 2 + 2)
-    total += (config.chain_layers - 2) * (k2 * f * f + f)
-    return total
-
-
 @dataclass
 class MaskSnapshot:
     """Activation masks D(z) per gated layer, for one specific input."""
@@ -98,58 +81,11 @@ class MaskSnapshot:
     masks: Tuple[np.ndarray, ...]
     signature: str
 
-    def mask_for(self, layer_id: str) -> np.ndarray:
-        return self.masks[self.layer_ids.index(layer_id)]
-
-
-class _NormalGate:
-    def __init__(self, net, tape):
-        self.net, self.tape = net, tape
-
-    def __call__(self, layer_id: str, z: Variable) -> Variable:
-        if layer_id == "out.act" or self.net.config.activation == "swish":
-            return ag.swish(z, self.tape)
-        return ag.relu(z, self.tape)
-
-
-class _CaptureGate(_NormalGate):
-    def __init__(self, net):
-        super().__init__(net, None)
-        self.masks = []
-
-    def __call__(self, layer_id: str, z: Variable) -> Variable:
-        v = z.value
-        if layer_id == "out.act" or self.net.config.activation == "swish":
-            self.masks.append(ag.sigmoid(v))
-        else:
-            self.masks.append((v > 0).astype(np.float32))
-        return super().__call__(layer_id, z)
-
-
-class _FrozenGate:
-    def __init__(self, snapshot: MaskSnapshot):
-        self.snapshot = snapshot
-
-    def __call__(self, layer_id: str, z: Variable) -> Variable:
-        d = self.snapshot.mask_for(layer_id)
-        if d.shape != z.value.shape:
-            raise ContractError(
-                f"mask for {layer_id} has shape {d.shape}, pre-activation {z.value.shape}")
-        return Variable(d * z.value)
-
 
 class ProximalNet:
     def __init__(self, config: ProximalConfig, params: Dict[str, Variable]):
         self.config = config
         self.params = params
-
-    def gated_layer_ids(self) -> Tuple[str, ...]:
-        if self.config.arch == "chain":
-            return ("out.act",)
-        ids = []
-        for i in range(1, self.config.num_res_blocks + 1):
-            ids += [f"rb{i}.act1", f"rb{i}.act2"]
-        return tuple(ids + ["tail.act1", "tail.act2"])
 
     # -- forward passes ----------------------------------------------------
 
@@ -163,16 +99,33 @@ class ProximalNet:
         return ag.instance_norm(u, self.params[f"{name}.gamma"],
                                 self.params[f"{name}.beta"], tape=tape)
 
-    def _walk(self, x: Variable, tape, gate) -> Variable:
+    def _gate(self, layer_id: str, z: Variable, tape, frozen: Optional[MaskSnapshot],
+              captured: Optional[Dict[str, np.ndarray]]) -> Variable:
+        """sigma(z) = D(z) * z with D pinned by ``frozen``, else swish or relu,
+        recording D(z) into ``captured``."""
+        if frozen is not None:
+            d = frozen.masks[frozen.layer_ids.index(layer_id)]
+            if d.shape != z.value.shape:
+                raise ContractError(
+                    f"mask for {layer_id} has shape {d.shape}, pre-activation {z.value.shape}")
+            return Variable(d * z.value)
+        swish = layer_id == "out.act" or self.config.activation == "swish"
+        if captured is not None:
+            captured[layer_id] = (ag.sigmoid(z.value) if swish
+                                  else (z.value > 0).astype(np.float32))
+        return ag.swish(z, tape) if swish else ag.relu(z, tape)
+
+    def _walk(self, x: Variable, tape: Optional[Tape] = None,
+              frozen: Optional[MaskSnapshot] = None,
+              captured: Optional[Dict[str, np.ndarray]] = None) -> Variable:
         cfg = self.config
         if x.value.ndim != 3 or x.value.shape[0] != 2:
             raise ShapeError(f"proximal input must be (2, H, W), got {x.value.shape}")
+        gate = partial(self._gate, tape=tape, frozen=frozen, captured=captured)
         if cfg.arch == "chain":
-            u = x
-            for i in range(1, cfg.chain_layers):
-                u = self._conv(f"layer{i}", u, tape)
-            z = self._conv(f"layer{cfg.chain_layers}", u, tape)
-            return gate("out.act", z)
+            for i in range(1, cfg.chain_layers + 1):
+                x = self._conv(f"layer{i}", x, tape)
+            return gate("out.act", x)
         u = self._conv("head", x, tape)
         for i in range(1, cfg.num_res_blocks + 1):
             v = self._conv(f"rb{i}.conv1", u, tape)
@@ -187,25 +140,26 @@ class ProximalNet:
         return self._conv("tail3", t, tape)
 
     def forward(self, x: Union[Variable, np.ndarray], tape: Optional[Tape] = None) -> Variable:
-        if not isinstance(x, Variable):
-            x = Variable(x)
-        return self._walk(x, tape, _NormalGate(self, tape))
+        return self._walk(x if isinstance(x, Variable) else Variable(x), tape)
 
     def forward_and_masks(self, x: np.ndarray) -> Tuple[np.ndarray, MaskSnapshot]:
-        gate = _CaptureGate(self)
-        out = self._walk(Variable(x), None, gate)
-        snap = MaskSnapshot(self.gated_layer_ids(), tuple(gate.masks),
-                            self.config.signature)
-        return out.value, snap
+        """The forward output and the snapshot of every gate's mask, in the
+        order the gates ran."""
+        captured: Dict[str, np.ndarray] = {}
+        out = self._walk(Variable(x), captured=captured)
+        return out.value, MaskSnapshot(tuple(captured), tuple(captured.values()),
+                                       self.config.signature)
 
     def forward_frozen(self, x: np.ndarray, snapshot: MaskSnapshot) -> np.ndarray:
-        if snapshot.signature != self.config.signature:
-            raise ContractError(f"snapshot from {snapshot.signature!r} "
-                                f"cannot drive {self.config.signature!r}")
+        """The affine map with every gate pinned to the snapshot; the one check
+        of the frozen-map contract (with each mask's shape in ``_gate``)."""
         if self.config.normalization != "none":
             raise UnsupportedConfigError(
                 "frozen-mask evaluation requires normalization=none")
-        return self._walk(Variable(x), None, _FrozenGate(snapshot)).value
+        if snapshot.signature != self.config.signature:
+            raise ContractError(f"snapshot from {snapshot.signature!r} "
+                                f"cannot drive {self.config.signature!r}")
+        return self._walk(Variable(x), frozen=snapshot).value
 
 
 def build(config: ProximalConfig, seed: int = 0,
@@ -232,14 +186,9 @@ def build(config: ProximalConfig, seed: int = 0,
 
     f = config.feature_maps
     if config.arch == "chain":
-        k, layers = config.chain_kernel, config.chain_layers
-        if layers == 1:
-            conv("layer1", 2, 2, k)
-        else:
-            conv("layer1", 2, f, k)
-            for i in range(2, layers):
-                conv(f"layer{i}", f, f, k)
-            conv(f"layer{layers}", f, 2, k)
+        layers = config.chain_layers
+        for i in range(1, layers + 1):  # 2 channels in and out, f between
+            conv(f"layer{i}", 2 if i == 1 else f, 2 if i == layers else f, config.chain_kernel)
     else:
         conv("head", 2, f, 3)
         for i in range(1, config.num_res_blocks + 1):
@@ -255,10 +204,7 @@ def build(config: ProximalConfig, seed: int = 0,
         out_name = (f"layer{config.chain_layers}" if config.arch == "chain"
                     else "tail3")
         params[f"{out_name}.kernel"].value[:] = 0.0
-    net = ProximalNet(config, params)
-    actual = sum(p.value.size for p in params.values())
-    assert actual == parameter_count(config), (actual, parameter_count(config))
-    return net
+    return ProximalNet(config, params)
 
 
 def capture_masks(net: ProximalNet, x: np.ndarray) -> MaskSnapshot:

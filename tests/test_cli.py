@@ -188,6 +188,16 @@ def test_pgm_p2_reading(tmp_path):
     assert plane[0, 1] == pytest.approx(128 / 255)
 
 
+@pytest.mark.parametrize("blob", [
+    b"P5\n# range 0 1\n3 1\n255\n\x00\x80\xff",
+    b"P2\n# range 0 1\n3 1\n255\n0 128 255\n",
+], ids=["p5", "p2"])
+def test_pgm_8bit_range_comment_decodes_by_maxval(tmp_path, blob):
+    path = tmp_path / "r.pgm"
+    path.write_bytes(blob)
+    assert read_pgm(path).tolist() == [[0.0, np.float32(128 / 255), 1.0]]
+
+
 def test_pgm_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
@@ -254,6 +264,14 @@ def test_gendata_zero_images_exits_2(tmp_path):
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = _write(tmp_path / "c.cfg", "wibble = 1\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"data_num = 8 # \xff\n")
+    assert main(["gendata", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"npgd: error: {cfg}: not a UTF-8 text file\n"
 
 
 def test_train_reconstruct_baseline_roundtrip(tmp_path, capsys):
@@ -618,9 +636,11 @@ def _bad_key_entry():
     return struct.pack("<H", 1) + b"\xff" + struct.pack("<Bq", 0, 1)
 
 
-def _tiny_checkpoint_blob(**entries):
+def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     """A valid checkpoint of the TINY_MRI net with some config entries
-    replaced; each value is stored with the tag of its Python type."""
+    replaced; each value is stored with the tag of its Python type. A
+    repeated entry or record is written a second time, changed, after the
+    first."""
     from dataclasses import asdict
 
     from npgd.proxnet import build
@@ -629,13 +649,18 @@ def _tiny_checkpoint_blob(**entries):
                   adam_step=0)
     values.update(entries)
     w = _Writer()
-    w.raw(struct.pack("<I", len(values)))
+    w.raw(struct.pack("<I", len(values) + (repeat_entry is not None)))
     for key, value in values.items():
         w.entry(key, value)
+    if repeat_entry is not None:
+        w.entry(repeat_entry, values[repeat_entry] + 1)
     params = build(prox).params
-    w.raw(struct.pack("<f", 1.0) + struct.pack("<I", len(params)))
+    w.raw(struct.pack("<f", 1.0)
+          + struct.pack("<I", len(params) + (repeat_record is not None)))
     for name, var in params.items():
         w.record(name, var.value)
+    if repeat_record is not None:
+        w.record(repeat_record, params[repeat_record].value + 1)
     return w.finish()
 
 
@@ -648,8 +673,11 @@ def _tiny_checkpoint_blob(**entries):
     (_tiny_checkpoint_blob(unroll_t=2.5), 2),
     (_tiny_checkpoint_blob(loss="zz"), 2),
     (_tiny_checkpoint_blob(beta=7.0), 2),
+    (_tiny_checkpoint_blob(repeat_entry="epoch"), 2),
+    (_tiny_checkpoint_blob(repeat_record="tail3.bias"), 2),
 ], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
-        "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range"])
+        "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
+        "duplicate-entry", "duplicate-record"])
 def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)

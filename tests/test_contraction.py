@@ -1,11 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from npgd.contraction import (ContractionTrace, FrozenAffineMap, analyze_trajectory,
-                              bound_slack, contraction_step, debias, xi_vector)
+                              bound_slack, contraction_step, debias)
 from npgd.core import ifft2, norm
-from npgd.errors import (ContractError, UndefinedRatioError,
-                         UnsupportedConfigError)
+from npgd.errors import ContractError, UnsupportedConfigError
 from npgd.operators import BoxDownsampleOperator, MaskedFourierOperator, gradient_step
 from npgd.proxnet import MaskSnapshot, ProximalConfig, build, capture_masks
 from npgd.sampling import generate_vardens_mask
@@ -37,7 +38,7 @@ def _step(net, op, alpha, x_star, x_t, masks_star=None, masks_t=None):
     if masks_t is None:
         masks_t = capture_masks(net, s_next)
     return contraction_step(1, FrozenAffineMap(net, masks_star),
-                            FrozenAffineMap(net, masks_t), xi_vector(net, x_star),
+                            FrozenAffineMap(net, masks_t), net.forward(x_star).value - x_star,
                             op, alpha, x_star, x_t, x_next)
 
 
@@ -54,11 +55,12 @@ def test_frozen_apply_matches_forward_at_capture_point():
 
 
 def test_frozen_rejects_normalization():
+    # the contract is checked where the frozen map is evaluated
     net = build(ProximalConfig(feature_maps=4, normalization="instance"), seed=4)
     x = _rand2(8, 8, 5)
     snap = capture_masks(net, x)
     with pytest.raises(UnsupportedConfigError):
-        FrozenAffineMap(net, snap)
+        FrozenAffineMap(net, snap)(x)
 
 
 def test_all_ones_mask_is_pure_conv_composition():
@@ -121,12 +123,25 @@ def test_eta1_identity_net_empty_mask_is_one():
     assert row.eta1 == pytest.approx(1.0, abs=1e-5)
 
 
-def test_eta_zero_delta_undefined():
+def test_eta_zero_delta_row():
+    # at x_t = x_* the ratios would be 0/0: the row reports zeros, and its
+    # residual and slack come from the formulas of every other row
     net = _chain_net(seed=15)
-    x_star = random_complex_image(16, 16, seed=16)
     op = BoxDownsampleOperator(16, 16)
-    with pytest.raises(UndefinedRatioError):
-        _step(net, op, 0.5, x_star, x_star)
+    for x_star in (random_complex_image(16, 16, seed=16), np.zeros((2, 16, 16), np.float32)):
+        row = _step(net, op, 0.5, x_star, x_star)
+        assert (row.nrmse, row.eta1, row.eta2, row.delta_norm) == (0.0, 0.0, 0.0, 0.0)
+        # y = apply(x_*) makes s_{t+1} = x_*: M_t = M_* and x_{t+1} - x_* = xi
+        assert row.decomp_residual == 0.0
+        assert row.err_next == row.xi_norm
+        assert row.bound_slack == bound_slack(0.0, 0.0, 0.0, row.xi_norm, row.err_next)
+    # masks from elsewhere: the perturbation term M_t(x_*) - M_*(x_*) stays in
+    x_star = random_complex_image(16, 16, seed=16)
+    other = capture_masks(net, random_complex_image(16, 16, seed=17))
+    row = _step(net, op, 0.5, x_star, x_star, masks_t=other)
+    assert (row.eta1, row.eta2) == (0.0, 0.0)
+    expected = norm(net.forward(x_star).value - FrozenAffineMap(net, other)(x_star))
+    assert row.decomp_residual == pytest.approx(expected, rel=1e-5)
 
 
 def test_eta2_identical_masks_is_zero():
@@ -191,10 +206,19 @@ def test_eta2_scale_invariant_for_biasfree_net():
 # xi
 
 
+def _xi(net, x_star):
+    """The analyzer's xi = forward(x_*) - x_*, and the norm its rows report."""
+    op = MaskedFourierOperator(full_mask(16, 16))
+    traces, _ = analyze_trajectory(net, 1.0, op, [(x_star, op.apply(x_star))], 1)
+    return net.forward_and_masks(x_star)[0] - x_star, traces[0].rows[0].xi_norm
+
+
 def test_xi_identity_net_is_zero():
     net = make_identity_resnet()
     x_star = nonzero_complex_image(16, 16, seed=30)
-    assert norm(xi_vector(net, x_star)) == pytest.approx(0.0, abs=1e-6)
+    xi, xi_norm = _xi(net, x_star)
+    assert xi_norm == norm(xi)
+    assert xi_norm == pytest.approx(0.0, abs=1e-6)
 
 
 def test_xi_identity_plus_bias():
@@ -204,8 +228,9 @@ def test_xi_identity_plus_bias():
     offset = np.zeros((2, 16, 16), np.float32)
     offset[0] = 0.01
     offset[1] = -0.02
-    assert norm(xi_vector(net, x_star)) == pytest.approx(np.linalg.norm(offset), rel=1e-5)
-    assert np.allclose(xi_vector(net, x_star), offset, atol=1e-6)
+    xi, xi_norm = _xi(net, x_star)
+    assert xi_norm == pytest.approx(np.linalg.norm(offset), rel=1e-5)
+    assert np.allclose(xi, offset, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +427,43 @@ def test_analyze_returns_final_iterate_and_its_masks():
     assert np.array_equal(traces[0].x_final, x_final)
     for got, want in zip(traces[0].masks_final.masks, masks.masks):
         assert np.array_equal(got, want)
+
+
+def _separate_forwards_analyze(net, alpha, op, x_star, y, iterations):
+    """analyze's rows from the loop that ran one proximal per purpose: the
+    unrolled forward, capture_masks per state, forward(x_*) - x_* for xi and
+    a separate extra forward past x_T."""
+    traj = unrolled_forward(net, op, y, iterations, alpha)
+    m_star = FrozenAffineMap(net, capture_masks(net, x_star))
+    xi = net.forward(x_star).value - x_star
+    s_extra = gradient_step(traj.final, y, alpha, op)
+    xs = traj.x + [net.forward(s_extra).value]
+    s_states = traj.s[1:] + [s_extra]
+    rows = []
+    for t in range(1, iterations + 1):
+        masks_t = capture_masks(net, s_states[t - 1])
+        rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
+                                     op, alpha, x_star, xs[t - 1], xs[t]))
+    return rows, traj.final, masks_t
+
+
+def test_analyze_matches_separate_forwards_bit_for_bit():
+    relu = build(ProximalConfig(feature_maps=4, activation="relu", normalization="none"),
+                 seed=58, zero_init_output=False)
+    fourier = MaskedFourierOperator(generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 59))
+    for net, op, alpha in ((_chain_net(seed=57), BoxDownsampleOperator(16, 16), 0.5),
+                           (relu, fourier, 0.7)):
+        pairs = [(x, op.apply(x)) for x in
+                 (random_complex_image(16, 16, seed=60 + i) for i in range(2))]
+        traces, _ = analyze_trajectory(net, alpha, op, pairs, 4)
+        for tr, (x_star, y) in zip(traces, pairs):
+            rows, x_final, masks_final = _separate_forwards_analyze(net, alpha, op,
+                                                                    x_star, y, 4)
+            assert [repr(astuple(r)) for r in tr.rows] == [repr(astuple(r)) for r in rows]
+            assert tr.x_final.tobytes() == x_final.tobytes()
+            assert tr.masks_final.layer_ids == masks_final.layer_ids
+            for got, want in zip(tr.masks_final.masks, masks_final.masks, strict=True):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_analyze_rejects_normalized_net():

@@ -10,8 +10,7 @@ from npgd import checkpoint
 from npgd.autograd import Variable
 from npgd.checkpoint import Checkpoint, deserialize, load, restore_net, save, serialize
 from npgd.errors import ConfigError, ContractError, CorruptionError, FormatError
-from npgd.proxnet import (MaskSnapshot, ProximalConfig, build, capture_masks,
-                          parameter_count)
+from npgd.proxnet import MaskSnapshot, ProximalConfig, build, capture_masks
 
 from conftest import make_identity_resnet
 
@@ -98,6 +97,24 @@ def test_identity_resnet_is_identity():
     assert np.allclose(out, x, atol=1e-6)
 
 
+def _parameter_count(config):
+    """Closed-form size of the parameter vector for a config."""
+    f = config.feature_maps
+    if config.arch == "resnet":
+        head = 9 * 2 * f + f
+        block = 2 * (9 * f * f + f)
+        if config.normalization == "instance":
+            block += 4 * f
+        tail = 2 * (f * f + f) + (2 * f + 2)
+        return head + config.num_res_blocks * block + tail
+    k2 = config.chain_kernel ** 2
+    if config.chain_layers == 1:
+        return k2 * 2 * 2 + 2
+    total = (k2 * 2 * f + f) + (k2 * f * 2 + 2)
+    total += (config.chain_layers - 2) * (k2 * f * f + f)
+    return total
+
+
 def test_parameter_count_formula_matches_enumeration():
     rng = np.random.default_rng(10)
     configs = [ProximalConfig(num_res_blocks=int(rng.integers(1, 4)),
@@ -110,7 +127,7 @@ def test_parameter_count_formula_matches_enumeration():
                 for _ in range(5)]
     for cfg in configs:
         net = build(cfg, seed=0)
-        assert sum(p.value.size for p in net.params.values()) == parameter_count(cfg)
+        assert sum(p.value.size for p in net.params.values()) == _parameter_count(cfg)
 
 
 def test_residual_block_collapses_to_identity():

@@ -212,17 +212,19 @@ def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
 # tuning
 
 
+GRID_LO, GRID_HI = 1e-4, 1e-1  # the lambda grid's ends, relative to the peak
+
+
 def default_lambda_grid(ys: Sequence[np.ndarray], op: LinearOperator,
-                        levels: int, points: int = 8,
-                        lo: float = 1e-4, hi: float = 1e-1) -> List[float]:
-    """Logarithmic grid scaled by the peak coefficient magnitude of the
-    zero-filled estimates."""
+                        levels: int, points: int = 8) -> List[float]:
+    """Logarithmic grid from GRID_LO to GRID_HI times the peak coefficient
+    magnitude of the zero-filled estimates."""
     peak = 0.0
     for y in ys:
         peak = max(peak, float(magnitude(haar2_forward(op.adjoint(y), levels)).max()))
     if peak == 0.0:
         peak = 1.0
-    return [float(g) for g in peak * np.geomspace(lo, hi, points)]
+    return [float(g) for g in peak * np.geomspace(GRID_LO, GRID_HI, points)]
 
 
 def tune_lambda(validation: Sequence[Tuple[np.ndarray, np.ndarray]],

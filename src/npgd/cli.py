@@ -1,49 +1,43 @@
 """Command-line entry point.
 
     npgd genmask|gendata|train|reconstruct|baseline|analyze|sweep
-         --config <path> [--out <dir>] [--seed N] [--threads N]
+         --config <path> [--out <dir>]
 
-Output directory precedence: --out, then $NPGD_OUT, then the config's
-out_dir. --seed overrides every seed in the config (data, mask, training)
-for quick variation without editing files. Exit codes: 0 success, 1
-runtime/numeric failure, 2 config/contract error.
+Every setting comes from the config file; --out, if given, replaces its
+out_dir. Exit codes: 0 success, 1 runtime/numeric failure, 2
+config/contract error, command-line errors included.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import os
 import sys
 
 from . import experiment
 from .config import parse_config
-from .errors import NpgdError
+from .errors import ConfigError, NpgdError
 
 COMMANDS = ("genmask", "gendata", "train", "reconstruct", "baseline",
             "analyze", "sweep")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a command-line error like any ConfigError: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="npgd")
+    parser = _Parser(prog="npgd")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return parser
-
-
-def _resolve_out(args, cfg) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get("NPGD_OUT")
-    if env:
-        return env
-    return cfg.out_dir
 
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's <malloc.h>
@@ -74,18 +68,11 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = _build_parser().parse_args(argv)
     log = lambda msg: print(msg, flush=True)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, data_seed=args.seed,
-                                      mask_seed=args.seed, train_seed=args.seed)
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
-        cfg.validate()
-        out_dir = _resolve_out(args, cfg)
-        getattr(experiment, f"run_{args.command}")(cfg, out_dir, log)
+        getattr(experiment, f"run_{args.command}")(cfg, args.out or cfg.out_dir, log)
         return 0
     except NpgdError as exc:
         print(f"npgd: error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 
 from .baselines import CsConfig
 from .errors import ConfigError, ParameterError
-from .phantoms import PhantomSpec
 from .proxnet import ProximalConfig
 from .sampling import mask_quota
 from .unroll import TrainConfig, UnrollConfig
@@ -43,10 +42,6 @@ class ExperimentConfig:
     data_num: int = 200
     data_seed: int = 7
     data_dir: Optional[str] = None
-    phantom_min_ellipses: int = 3
-    phantom_max_ellipses: int = 8
-    phantom_intensity_min: float = 0.2
-    phantom_intensity_max: float = 1.0
     phantom_phase: bool = False
     holdout: int = 20
     noise_std: float = 0.0
@@ -75,8 +70,6 @@ class ExperimentConfig:
     cs_solver: str = "fista"
     cs_levels: int = 3
     cs_grid_points: int = 8
-    cs_grid_lo: float = 1e-4
-    cs_grid_hi: float = 1e-1
     cs_val_images: int = 10
     sweep_grid: str = "1:1,3:1"
     checkpoint_path: Optional[str] = None
@@ -90,10 +83,6 @@ class ExperimentConfig:
         # the box operator's normal map has top eigenvalue 1/4, so the
         # spectral step 4 replaces the measured component in one go
         return 1.0 if self.task == "mri" else 4.0
-
-    def phantom_spec(self) -> PhantomSpec:
-        return PhantomSpec(**{f.name: getattr(self, f"phantom_{f.name}")
-                              for f in fields(PhantomSpec)})
 
     def prox_config(self) -> ProximalConfig:
         return ProximalConfig(**{f.name: getattr(self, f.name)
@@ -146,17 +135,18 @@ class ExperimentConfig:
         # CsConfig accepts lam = 0; an explicit cs_lambda must be positive
         if self.cs_lambda is not None and self.cs_lambda <= 0:
             raise ConfigError("cs_lambda must be positive")
-        if not (0 < self.cs_grid_lo <= self.cs_grid_hi):
-            raise ConfigError("cs grid bounds must satisfy 0 < lo <= hi")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         parse_sweep_grid(self.sweep_grid)
         try:
-            for sub in (self.phantom_spec(), self.prox_config(), self.unroll_config(),
-                        self.train_config(), self.cs_config()):
+            for sub in (self.prox_config(), self.unroll_config(), self.train_config(),
+                        self.cs_config()):
                 sub.validate()
         except ParameterError as exc:
             raise ConfigError(f"{type(sub).__name__}: {exc}") from None
+        if self.cs_levels >= n.bit_length():  # each Haar level halves the image
+            raise ConfigError(f"image_size {n} is not divisible by 2^cs_levels "
+                              f"= 2^{self.cs_levels}")
 
 
 def _value_parser(annotation) -> Callable[[str], object]:

@@ -29,10 +29,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .autograd import Variable
 from .core import norm
 from .errors import ContractError
-from .operators import LinearOperator, gradient_step, gradient_step_channels, preconditioned
+from .operators import LinearOperator, gradient_step, preconditioned
 from .proxnet import MaskSnapshot, ProximalNet
 from .unroll import write_csv
 
@@ -174,20 +173,14 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
             raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
         fx_star, masks_star = net.forward_and_masks(x_star)
         m_star, xi = FrozenAffineMap(net, masks_star), fx_star - x_star
-        ahy = op.adjoint(y)
-
-        def step(x):  # the unrolled loop's gradient step, bit for bit
-            return gradient_step_channels(Variable(x), alpha, op, ahy).value
-
-        x_t = net.forward(step(np.zeros((2,) + tuple(op.in_shape), np.float32))).value
+        x_next = net.forward(gradient_step(np.zeros((2,) + tuple(op.in_shape), np.float32),
+                                           y, alpha, op)).value
         rows = []
         for t in range(1, iterations + 1):
-            s_next = step(x_t) if t < iterations else gradient_step(x_t, y, alpha, op)
-            x_next, masks_t = net.forward_and_masks(s_next)
+            x_t = x_next
+            x_next, masks_t = net.forward_and_masks(gradient_step(x_t, y, alpha, op))
             rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
                                          op, alpha, x_star, x_t, x_next))
-            if t < iterations:
-                x_t = x_next
         traces.append(ContractionTrace(idx, rows, x_t, masks_t))
 
     aggregate = []

@@ -91,8 +91,8 @@ def load_image_dir(path: str, size: int) -> List[np.ndarray]:
 def build_dataset(cfg: ExperimentConfig) -> List[np.ndarray]:
     if cfg.data_dir is not None:
         return load_image_dir(cfg.data_dir, cfg.image_size)
-    return generate_dataset(cfg.data_num, cfg.image_size, cfg.phantom_spec(),
-                            cfg.data_seed)
+    return generate_dataset(cfg.data_num, cfg.image_size, cfg.data_seed,
+                            cfg.phantom_phase)
 
 
 def split_dataset(images: Sequence[np.ndarray], holdout: int):
@@ -118,8 +118,11 @@ def simulate_measurements(images: Sequence[np.ndarray], op: LinearOperator,
     ys = [op.apply(x) for x in images]
     if noise_std > 0:
         rng = np.random.default_rng(seed)
+        # noise only where op measures: its whole output, or the sampled k-space
+        measured = op.mask.natural_bits() if isinstance(op, MaskedFourierOperator) else True
         # one draw per image fills the real plane, then the imaginary one
-        ys = [y + rng.normal(0, noise_std, y.shape).astype(np.float32) for y in ys]
+        ys = [y + np.where(measured, rng.normal(0, noise_std, y.shape).astype(np.float32),
+                           np.float32(0)) for y in ys]
     return ys
 
 
@@ -191,10 +194,14 @@ def _evaluate(op: LinearOperator, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
     return rows, zero_filled
 
 
-def evaluate_model(net, alpha: float, op: LinearOperator, iterations: int,
-                   pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> List[EvalRow]:
-    estimates = [reconstruct(net, alpha, op, y, iterations)[0] for _, y in pairs]
-    return _evaluate(op, pairs, estimates)[0]
+def _reconstruct_all(net, alpha: float, op: LinearOperator, iterations: int,
+                     pairs: Sequence[Tuple[np.ndarray, np.ndarray]], threads: int):
+    """The unrolled reconstruction (x_T, residuals) of every pair's
+    measurement, spread over threads, and its wall time per image."""
+    t0 = time.perf_counter()
+    solved = _pmap(lambda pair: reconstruct(net, alpha, op, pair[1], iterations),
+                   pairs, threads)
+    return solved, (time.perf_counter() - t0) / len(pairs)
 
 
 def mean_snr(rows: Sequence[EvalRow]) -> float:
@@ -257,10 +264,7 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str, log) -> None:
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
-    t0 = time.perf_counter()
-    solved = _pmap(lambda pair: reconstruct(net, alpha, op, pair[1], ck.unroll_t),
-                   pairs, cfg.threads)
-    per_image = (time.perf_counter() - t0) / len(pairs)
+    solved, per_image = _reconstruct_all(net, alpha, op, ck.unroll_t, pairs, cfg.threads)
     rows, zero_filled = _evaluate(op, pairs, [xhat for xhat, _ in solved])
     for i, ((x_true, _), (xhat, _), zf) in enumerate(zip(pairs, solved, zero_filled)):
         write_pgm16(os.path.join(out_dir, f"recon_{i:04d}.pgm"), _magnitude32(xhat))
@@ -283,9 +287,7 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     if cfg.cs_lambda is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
         ys_val = _measure(cfg, op, val, VALIDATION)
-        grid = default_lambda_grid(ys_val, op, cfg.cs_levels,
-                                   points=cfg.cs_grid_points,
-                                   lo=cfg.cs_grid_lo, hi=cfg.cs_grid_hi)
+        grid = default_lambda_grid(ys_val, op, cfg.cs_levels, points=cfg.cs_grid_points)
         cs.lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
         log(f"tuned lambda = {cs.lam:.6g}")
     solve = fista if cs.solver == "fista" else ista
@@ -337,10 +339,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log) -> None:
         result = train(train_set, op, replace(unroll_cfg, iterations=t),
                        cfg.train_config(), replace(prox_cfg, num_res_blocks=rb),
                        ys_train, log=log)
-        t0 = time.perf_counter()
-        eval_rows = evaluate_model(result.net, float(result.alpha.value), op, t,
-                                   test_pairs)
-        infer_seconds = (time.perf_counter() - t0) / max(len(test_set), 1)
+        solved, infer_seconds = _reconstruct_all(result.net, float(result.alpha.value), op,
+                                                 t, test_pairs, cfg.threads)
+        eval_rows, _ = _evaluate(op, test_pairs, [xhat for xhat, _ in solved])
         rows.append((t, rb, result.seconds, infer_seconds,
                      mean_snr(eval_rows),
                      float(np.mean([r.ssim for r in eval_rows]))))

@@ -105,18 +105,17 @@ def preconditioned(op: LinearOperator, alpha: float, v: np.ndarray) -> np.ndarra
 
 
 def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
-                           op: LinearOperator, ahy: np.ndarray,
+                           op: LinearOperator, y: np.ndarray,
                            tape: Optional[Tape] = None) -> Variable:
-    """Differentiable gradient step on (2, H, W) planes.
+    """Differentiable gradient step, bit for bit :func:`gradient_step`.
 
-    ahy is the precomputed adjoint(y) plane stack (constant per sample).
     Differentiates through x and, when alpha is a Variable, through the
     step size: the normal operator adjoint(apply(.)) is self-adjoint, so
     the pullback of x is g - alpha * normal(g).
     """
     alpha_var = alpha if isinstance(alpha, Variable) else None
     a = float(alpha_var.value) if alpha_var is not None else float(alpha)
-    direction = ahy - op.normal_channels(x_var.value)
+    direction = op.residual_adjoint(x_var.value, y)
     out = Variable(x_var.value + np.float32(a) * direction)
     if tape is not None:
         pulls = [(x_var, lambda g: preconditioned(op, a, g))]

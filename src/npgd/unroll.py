@@ -68,53 +68,34 @@ class TrainConfig:
         return self.lr * 0.5 ** (step // self.lr_halve_every)
 
 
-@dataclass
-class Trajectory:
-    """States s_1..s_T and outputs x_1..x_T of one unrolled run."""
-
-    s: List[np.ndarray]
-    x: List[np.ndarray]
-    x_vars: Optional[List[Variable]] = None
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.x[-1]
-
-
 def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
                      iterations: int, alpha: Union[float, Variable],
-                     tape: Optional[Tape] = None) -> Trajectory:
-    """Run T alternations of gradient step and proximal from x_0 = 0.
+                     tape: Optional[Tape] = None) -> List[Variable]:
+    """Run T alternations of gradient step and proximal from x_0 = 0 and
+    return the iterates x_1..x_T.
 
     With a tape, the whole trajectory is differentiable through the shared
     weights and alpha.
     """
-    ahy = op.adjoint(y)
-    h, w = op.in_shape
-    x_var = Variable(np.zeros((2, h, w), np.float32))
-    s_list, x_list, x_vars = [], [], []
+    x_var = Variable(np.zeros((2,) + tuple(op.in_shape), np.float32))
+    iterates = []
     for _ in range(iterations):
-        s_var = gradient_step_channels(x_var, alpha, op, ahy, tape)
-        x_var = net.forward(s_var, tape)
-        s_list.append(s_var.value)
-        x_list.append(x_var.value)
-        x_vars.append(x_var)
-    return Trajectory(s_list, x_list, x_vars if tape is not None else None)
+        x_var = net.forward(gradient_step_channels(x_var, alpha, op, y, tape), tape)
+        iterates.append(x_var)
+    return iterates
 
 
-def loss_p1(traj: Trajectory, x_true: np.ndarray, y: np.ndarray,
+def loss_p1(iterates: Sequence[Variable], x_true: np.ndarray, y: np.ndarray,
             op: LinearOperator, beta: float, loss_kind: str = "l2",
             tape: Optional[Tape] = None) -> Tuple[Variable, float, float]:
-    """Composite training cost; returns (total, terminal value, consistency value)."""
-    if traj.x_vars is None:
-        raise ParameterError("loss_p1 needs a trajectory built with a tape")
-    x_t_var = traj.x_vars[-1]
+    """Composite training cost over the iterates x_1..x_T; returns (total,
+    terminal value, consistency value)."""
     if loss_kind == "l1":
-        terminal = ag.smooth_l1_loss(x_t_var, x_true, tape=tape)
+        terminal = ag.smooth_l1_loss(iterates[-1], x_true, tape=tape)
     else:
-        terminal = ag.mse_loss(x_t_var, x_true, tape=tape)
+        terminal = ag.mse_loss(iterates[-1], x_true, tape=tape)
     consistency = None
-    for xv in traj.x_vars:
+    for xv in iterates:
         r = data_residual_sq(xv, op, y, tape)
         consistency = r if consistency is None else ag.add(consistency, r, tape)
     total = ag.add(ag.scale(terminal, beta, tape),
@@ -226,9 +207,9 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
             tot = term = cons = 0.0
             for i in batch:
                 tape = Tape()
-                traj = unrolled_forward(net, op, measurements[i],
-                                        unroll_cfg.iterations, alpha_var, tape)
-                total, term_v, cons_v = loss_p1(traj, dataset[i], measurements[i],
+                iterates = unrolled_forward(net, op, measurements[i],
+                                            unroll_cfg.iterations, alpha_var, tape)
+                total, term_v, cons_v = loss_p1(iterates, dataset[i], measurements[i],
                                                 op, unroll_cfg.beta,
                                                 unroll_cfg.loss, tape)
                 if not np.isfinite(float(total.value)):
@@ -283,6 +264,5 @@ def write_trace_csv(rows: Sequence[tuple], path) -> None:
 def reconstruct(net: ProximalNet, alpha: float, op: LinearOperator,
                 y: np.ndarray, iterations: int) -> Tuple[np.ndarray, List[float]]:
     """Inference pass; returns x_T and the per-iteration residuals ||y - apply(x_t)||."""
-    traj = unrolled_forward(net, op, y, iterations, alpha)
-    residuals = [norm(y - op.apply(x)) for x in traj.x]
-    return traj.final, residuals
+    iterates = unrolled_forward(net, op, y, iterations, alpha)
+    return iterates[-1].value, [norm(y - op.apply(x.value)) for x in iterates]

@@ -23,7 +23,7 @@ from npgd.errors import CorruptionError
 from npgd.metrics import snr_db, ssim
 from npgd.operators import (BoxDownsampleOperator, MaskedFourierOperator,
                             gradient_step)
-from npgd.phantoms import PhantomSpec, generate_dataset
+from npgd.phantoms import generate_dataset
 from npgd.proxnet import ProximalConfig, build, capture_masks
 from npgd.sampling import generate_vardens_mask
 from npgd.unroll import (TrainConfig, UnrollConfig, loss_p1, reconstruct, train,
@@ -185,7 +185,7 @@ def test_criterion_2_autograd_gradients():
     vjp_against_fd(lambda v, t: ag.smooth_l1_loss(v[0], target, tape=t), [a], h=1e-3)
 
     # full unrolled loss on the 8x8 / T=2 / 4-feature instance
-    imgs = generate_dataset(1, 8, PhantomSpec(), seed=40)
+    imgs = generate_dataset(1, 8, seed=40)
     x_true = imgs[0]
     op = MaskedFourierOperator(generate_vardens_mask(8, 8, 0.5, 0.05, 3.0, 41))
     y = op.apply(x_true)
@@ -197,8 +197,8 @@ def test_criterion_2_autograd_gradients():
 
     def full_loss():
         tape = Tape()
-        traj = unrolled_forward(net, op, y, 2, alpha, tape)
-        total, _, _ = loss_p1(traj, x_true, y, op, beta=0.75, tape=tape)
+        iterates = unrolled_forward(net, op, y, 2, alpha, tape)
+        total, _, _ = loss_p1(iterates, x_true, y, op, beta=0.75, tape=tape)
         return tape, total
 
     rel, grads, originals = _gradient_direction_check(full_loss, slots, h=3e-4)
@@ -261,7 +261,7 @@ def test_criterion_3_baseline_properties():
 @pytest.fixture(scope="module")
 def mri_bundle():
     t0 = time.perf_counter()
-    images = generate_dataset(200, 64, PhantomSpec(), seed=7)
+    images = generate_dataset(200, 64, seed=7)
     train_set, test_set = images[:180], images[180:]
     mask = generate_vardens_mask(64, 64, 0.2, 0.04, 3.0, 1)
     op = MaskedFourierOperator(mask)
@@ -327,7 +327,7 @@ def test_criterion_4_reconstruction_trend(mri_bundle):
 @pytest.fixture(scope="module")
 def sr_bundle():
     t0 = time.perf_counter()
-    images = generate_dataset(120, 32, PhantomSpec(), seed=11)
+    images = generate_dataset(120, 32, seed=11)
     train_set, test_set = images[:100], images[100:]
     op = BoxDownsampleOperator(32, 32)
     prox = ProximalConfig(arch="chain", chain_layers=3, chain_kernel=5,
@@ -380,7 +380,7 @@ def test_criterion_5_contraction_suite(sr_bundle):
 def test_criterion_6_determinism_and_persistence(tmp_path):
     t0 = time.perf_counter()
     # bit-identical loss traces for identical seeds
-    images = generate_dataset(6, 16, PhantomSpec(), seed=31)
+    images = generate_dataset(6, 16, seed=31)
     mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 32)
     op = MaskedFourierOperator(mask)
     prox = ProximalConfig(feature_maps=8, normalization="instance")
@@ -423,8 +423,7 @@ def test_criterion_7_debias(sr_bundle):
     alpha = float(b["result"].alpha.value)
     n_converged = 0
     for x_true, y in zip(test_set, ys):
-        traj = unrolled_forward(net, op, y, 10, alpha)
-        x_t = traj.final
+        x_t = unrolled_forward(net, op, y, 10, alpha)[-1].value
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
         res = debias(net, masks, op, alpha, y, x_t)
         assert res.converged or res.diverged or res.iterations >= 200

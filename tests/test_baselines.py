@@ -247,8 +247,8 @@ def test_tune_lambda_grid_of_one_and_duplicates():
 def test_tune_lambda_matches_exhaustive_table():
     mask = generate_vardens_mask(16, 16, 0.3, 0.03, 3.0, 11)
     op = MaskedFourierOperator(mask)
-    from npgd.phantoms import PhantomSpec, generate_dataset
-    truths = generate_dataset(2, 16, PhantomSpec(), seed=12)
+    from npgd.phantoms import generate_dataset
+    truths = generate_dataset(2, 16, seed=12)
     val = [(x, op.apply(x)) for x in truths]
     cfg = CsConfig(iterations=20, solver="fista", levels=2)
     grid = [0.001, 0.01, 0.1]

@@ -13,7 +13,7 @@ from npgd.config import parse_config_text, parse_sweep_grid
 from npgd.core import magnitude
 from npgd.errors import ConfigError
 from npgd.pgm import read_pgm, write_pgm16
-from npgd.phantoms import PhantomSpec, generate_dataset
+from npgd.phantoms import generate_dataset
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -84,17 +84,20 @@ def test_validation_before_compute():
 
 @pytest.mark.parametrize("line", [
     "mask_decay = -1",
-    "phantom_intensity_min = 0.9\nphantom_intensity_max = 0.1",
+    "cs_levels = 5",
     "lr = nan",
     "lr = inf",
     "lr = 1e39",
     "noise_std = nan",
     "alpha_init = inf",
     "train_seed = -1",
-], ids=["negative-mask-decay", "inverted-intensity-range", "lr-nan", "lr-inf",
+], ids=["negative-mask-decay", "cs-levels-above-image-size", "lr-nan", "lr-inf",
         "lr-above-float32", "noise-std-nan", "alpha-init-inf", "negative-seed"])
 def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
-    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + line + "\n")
+    key = line.split("=")[0].strip()  # replaces TINY_MRI's value, if it sets one
+    base = "".join(f"{kv}\n" for kv in TINY_MRI.splitlines()
+                   if kv.split("=")[0].strip() != key)
+    cfg_path = _write(tmp_path / "c.cfg", base + line + "\n")
     out = tmp_path / "o"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -113,6 +116,33 @@ def test_readme_lists_every_config_key():
     keys = [key for row in table.splitlines()[2:]
             for key in re.findall(r"`([a-z_]+)`", row.split("|")[2])]
     assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_readme_synopsis_lists_every_cli_option():
+    from npgd.cli import COMMANDS, _build_parser
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    synopsis = readme.split("## Command line")[1].split("```")[1]
+    assert "|".join(COMMANDS) in synopsis
+    documented = re.findall(r"--([a-z]+)", synopsis)
+    for name in COMMANDS:
+        argv = [name] + [arg for opt in documented for arg in (f"--{opt}", "x")]
+        # every option the parser knows lands in the namespace, given or not
+        assert sorted(vars(_build_parser().parse_args(argv))) == \
+            sorted(documented + ["command"]), name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["train"], "the following arguments are required: --config"),
+    (["train", "--config", "c.cfg", "--seed", "x"], "unrecognized arguments: --seed x"),
+], ids=["unknown-command", "missing-config", "removed-seed-flag"])
+def test_command_line_error_is_one_line_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"npgd: error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_every_key_parses_to_its_annotated_type():
@@ -215,8 +245,8 @@ def test_pgm_errors(tmp_path):
 
 
 def test_phantoms_deterministic_and_bounded():
-    a = generate_dataset(5, 32, PhantomSpec(), seed=9)
-    b = generate_dataset(5, 32, PhantomSpec(), seed=9)
+    a = generate_dataset(5, 32, seed=9)
+    b = generate_dataset(5, 32, seed=9)
     for xa, xb in zip(a, b):
         assert np.array_equal(xa, xb)
     for x in a:
@@ -226,8 +256,7 @@ def test_phantoms_deterministic_and_bounded():
 
 
 def test_phantoms_with_phase_are_complex():
-    spec = PhantomSpec(phase=True)
-    x = generate_dataset(1, 32, spec, seed=10)[0]
+    x = generate_dataset(1, 32, seed=10, phase=True)[0]
     assert np.abs(x[1]).max() > 0
     assert magnitude(x).max() <= 1.0 + 1e-5
 
@@ -330,13 +359,34 @@ def test_noise_streams_are_separate_per_image_set(tmp_path, monkeypatch):
 
     train_set, _, op = experiment._setup(cfg)
     rng = np.random.default_rng(cfg.data_seed)
+    bits = op.mask.natural_bits()
     for x, n in zip(train_set, train_noise):
-        y = op.apply(x) + rng.normal(0, 0.05, x.shape).astype(np.float32)
+        draw = rng.normal(0, 0.05, x.shape).astype(np.float32)
+        y = op.apply(x) + np.where(bits, draw, np.float32(0))
         assert np.array_equal(n, y - op.apply(x))
     for i, n in enumerate(train_noise[:2]):
         assert np.abs(held_out_noise[i] - n).max() > 0.05
         assert np.abs(val_noise[i] - n).max() > 0.05
         assert np.abs(val_noise[i] - held_out_noise[i]).max() > 0.05
+
+
+def test_noise_only_where_k_space_is_sampled():
+    from npgd.experiment import build_operator, simulate_measurements
+    from npgd.operators import BoxDownsampleOperator
+    op, mask = build_operator(parse_config_text(TINY_MRI))
+    bits = mask.natural_bits()
+    images = generate_dataset(3, 16, seed=8)
+    rng = np.random.default_rng(4)
+    for x, y in zip(images, simulate_measurements(images, op, 0.05, seed=4)):
+        draw = rng.normal(0, 0.05, y.shape).astype(np.float32)
+        assert not (y - op.apply(x))[:, ~bits].any()
+        assert np.array_equal(y[:, bits], (op.apply(x) + draw)[:, bits])
+    # the box operator measures every entry, so its draws stay whole
+    box = BoxDownsampleOperator(16, 16)
+    rng = np.random.default_rng(4)
+    for x, y in zip(images, simulate_measurements(images, box, 0.05, seed=4)):
+        draw = rng.normal(0, 0.05, y.shape).astype(np.float32)
+        assert np.array_equal(y, box.apply(x) + draw)
 
 
 TOY_TRAINED = """
@@ -411,22 +461,24 @@ def test_missing_checkpoint_path_exits_2(tmp_path):
     assert main(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("NPGD_OUT", str(env_out))
+def test_out_flag_wins_over_out_dir(tmp_path):
+    cfg_dir, flag_dir = tmp_path / "cfg_out", tmp_path / "flag_out"
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"out_dir = {cfg_dir}\n")
+    assert main(["gendata", "--config", cfg_path, "--out", str(flag_dir)]) == 0
+    assert len(os.listdir(flag_dir)) == 16 and not cfg_dir.exists()
     assert main(["gendata", "--config", cfg_path]) == 0
-    assert env_out.exists() and len(os.listdir(env_out)) == 16
+    assert _dir_bytes(cfg_dir) == _dir_bytes(flag_dir)
 
 
-def test_seed_flag_changes_artifacts(tmp_path):
-    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
-    a, b, c = (tmp_path / n for n in ("s1", "s2", "s3"))
-    assert main(["gendata", "--config", cfg_path, "--out", str(a), "--seed", "1"]) == 0
-    assert main(["gendata", "--config", cfg_path, "--out", str(b), "--seed", "1"]) == 0
-    assert main(["gendata", "--config", cfg_path, "--out", str(c), "--seed", "2"]) == 0
-    assert _dir_bytes(a) == _dir_bytes(b)
-    assert _dir_bytes(a) != _dir_bytes(c)
+def test_data_seed_changes_gendata_bytes(tmp_path):
+    runs = {}
+    for name, seed in (("a", 1), ("b", 1), ("c", 2)):
+        cfg_path = _write(tmp_path / f"{name}.cfg",
+                          TINY_MRI.replace("data_seed = 5", f"data_seed = {seed}"))
+        assert main(["gendata", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+        runs[name] = _dir_bytes(tmp_path / name)
+    assert runs["a"] == runs["b"]
+    assert runs["a"] != runs["c"]
 
 
 def test_data_dir_ingestion(tmp_path):
@@ -593,7 +645,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     op, _ = build_operator(cfg)
     for i, x_true in enumerate(test_set):
         y = op.apply(x_true)
-        x_t = unrolled_forward(net, op, y, 3, alpha).final
+        x_t = unrolled_forward(net, op, y, 3, alpha)[-1].value
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
         res = debias(net, masks, op, alpha, y, x_t)
         assert lines[1 + i] == (
@@ -605,16 +657,22 @@ def test_threads_do_not_change_metrics(tmp_path):
     cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
     out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
-    rec_cfg = _write(tmp_path / "r.cfg",
-                     TINY_MRI + f"checkpoint_path = {out / 'checkpoint.npgd'}\n")
-    for command, name in (("reconstruct", "metrics.csv"), ("baseline", "cs_metrics.csv")):
-        blobs = []
-        for threads in ("1", "2"):
+    tiny = TINY_MRI.replace("epochs = 2", "epochs = 1") + "sweep_grid = 1:1,2:1\n"
+    tiny += f"checkpoint_path = {out / 'checkpoint.npgd'}\n"
+    tables = []
+    for threads in (1, 2):
+        cfg = _write(tmp_path / f"t{threads}.cfg", tiny + f"threads = {threads}\n")
+        run = {}
+        for command, name in (("reconstruct", "metrics.csv"),
+                              ("baseline", "cs_metrics.csv"), ("sweep", "sweep.csv")):
             run_out = tmp_path / f"{command}-{threads}"
-            assert main([command, "--config", rec_cfg, "--out", str(run_out),
-                         "--threads", threads]) == 0
-            blobs.append((run_out / name).read_bytes())
-        assert blobs[0] == blobs[1]
+            assert main([command, "--config", cfg, "--out", str(run_out)]) == 0
+            run[name] = (run_out / name).read_bytes()
+        # train_seconds and infer_seconds_per_image are wall times
+        run["sweep.csv"] = [line.split(b",")[:2] + line.split(b",")[4:]
+                            for line in run["sweep.csv"].split(b"\n")]
+        tables.append(run)
+    assert tables[0] == tables[1]
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_analyze_returns_final_iterate_and_its_masks():
     x = random_complex_image(16, 16, seed=56)
     y = op.apply(x)
     traces, _ = analyze_trajectory(net, 0.5, op, [(x, y)], 3)
-    x_final = unrolled_forward(net, op, y, 3, 0.5).final
+    x_final = unrolled_forward(net, op, y, 3, 0.5)[-1].value
     masks = capture_masks(net, gradient_step(x_final, y, 0.5, op))
     assert np.array_equal(traces[0].x_final, x_final)
     for got, want in zip(traces[0].masks_final.masks, masks.masks):
@@ -432,19 +432,19 @@ def test_analyze_returns_final_iterate_and_its_masks():
 def _separate_forwards_analyze(net, alpha, op, x_star, y, iterations):
     """analyze's rows from the loop that ran one proximal per purpose: the
     unrolled forward, capture_masks per state, forward(x_*) - x_* for xi and
-    a separate extra forward past x_T."""
-    traj = unrolled_forward(net, op, y, iterations, alpha)
+    a separate extra forward past x_T. Every state is gradient_step of the
+    previous iterate."""
+    xs = [x.value for x in unrolled_forward(net, op, y, iterations, alpha)]
     m_star = FrozenAffineMap(net, capture_masks(net, x_star))
     xi = net.forward(x_star).value - x_star
-    s_extra = gradient_step(traj.final, y, alpha, op)
-    xs = traj.x + [net.forward(s_extra).value]
-    s_states = traj.s[1:] + [s_extra]
+    s_states = [gradient_step(x, y, alpha, op) for x in xs]
+    xs.append(net.forward(s_states[-1]).value)
     rows = []
     for t in range(1, iterations + 1):
         masks_t = capture_masks(net, s_states[t - 1])
         rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
                                      op, alpha, x_star, xs[t - 1], xs[t]))
-    return rows, traj.final, masks_t
+    return rows, xs[-2], masks_t
 
 
 def test_analyze_matches_separate_forwards_bit_for_bit():

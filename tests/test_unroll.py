@@ -6,10 +6,10 @@ from npgd.autograd import Tape, Variable, backward
 from npgd.core import norm
 from npgd.errors import NumericsError, ParameterError
 from npgd.operators import MaskedFourierOperator, gradient_step
-from npgd.phantoms import PhantomSpec, generate_dataset
+from npgd.phantoms import generate_dataset
 from npgd.proxnet import ProximalConfig, build
 from npgd.sampling import generate_vardens_mask
-from npgd.unroll import (TrainConfig, Trajectory, UnrollConfig, loss_p1,
+from npgd.unroll import (TrainConfig, UnrollConfig, loss_p1,
                          reconstruct, train, unrolled_forward, write_trace_csv)
 
 from conftest import full_mask, make_identity_resnet, random_complex_image
@@ -24,9 +24,9 @@ def test_t1_is_proximal_of_scaled_zero_fill():
     op = _op(seed=2)
     y = op.apply(random_complex_image(16, 16, seed=3))
     alpha = 0.8
-    traj = unrolled_forward(net, op, y, 1, alpha)
+    x_1 = unrolled_forward(net, op, y, 1, alpha)[-1].value
     expected = net.forward(alpha * op.adjoint(y)).value
-    assert np.allclose(traj.final, expected, atol=1e-6)
+    assert np.allclose(x_1, expected, atol=1e-6)
 
 
 def test_identity_proximal_reproduces_plain_landweber():
@@ -34,12 +34,12 @@ def test_identity_proximal_reproduces_plain_landweber():
     op = _op(seed=4)
     y = op.apply(random_complex_image(16, 16, seed=5))
     alpha = 0.9
-    traj = unrolled_forward(net, op, y, 5, alpha)
+    iterates = unrolled_forward(net, op, y, 5, alpha)
     # independent re-implementation of the bare iteration
     x = np.zeros((2, 16, 16), np.float32)
     for t in range(5):
         x = gradient_step(x, y, alpha, op)
-        assert norm(traj.x[t] - x) <= 1e-5 * max(norm(x), 1.0)
+        assert norm(iterates[t].value - x) <= 1e-5 * max(norm(x), 1.0)
 
 
 def test_identity_proximal_fixed_point_convergence():
@@ -47,11 +47,11 @@ def test_identity_proximal_fixed_point_convergence():
     op = _op(seed=6)
     x_star = random_complex_image(16, 16, seed=7)
     y = op.apply(x_star)
-    traj = unrolled_forward(net, op, y, 8, 1.0)
-    residuals = [norm(y - op.apply(x)) for x in traj.x]
+    xs = [x.value for x in unrolled_forward(net, op, y, 8, 1.0)]
+    residuals = [norm(y - op.apply(x)) for x in xs]
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-6
-    errs = [norm(x - x_star) for x in traj.x]
+    errs = [norm(x - x_star) for x in xs]
     assert errs[-1] <= errs[0] + 1e-6
 
 
@@ -62,8 +62,7 @@ def test_trajectory_prefix_property():
     short = unrolled_forward(net, op, y, 2, 1.0)
     long = unrolled_forward(net, op, y, 5, 1.0)
     for t in range(2):
-        assert np.array_equal(short.x[t], long.x[t])
-        assert np.array_equal(short.s[t], long.s[t])
+        assert np.array_equal(short[t].value, long[t].value)
 
 
 def test_loss_p1_beta_one_is_terminal_only():
@@ -72,8 +71,8 @@ def test_loss_p1_beta_one_is_terminal_only():
     x_true = random_complex_image(16, 16, seed=13)
     y = op.apply(x_true)
     tape = Tape()
-    traj = unrolled_forward(net, op, y, 3, 1.0, tape)
-    total, term, cons = loss_p1(traj, x_true, y, op, beta=1.0, tape=tape)
+    iterates = unrolled_forward(net, op, y, 3, 1.0, tape)
+    total, term, cons = loss_p1(iterates, x_true, y, op, beta=1.0, tape=tape)
     assert float(total.value) == pytest.approx(term, rel=1e-6)
     assert cons > 0.0  # untrained iterates are inconsistent, the term just gets zero weight
 
@@ -83,8 +82,7 @@ def test_loss_p1_perfect_trajectory_is_zero():
     x_true = random_complex_image(16, 16, seed=15)
     y = op.apply(x_true)
     tape = Tape()
-    perfect = Trajectory(s=[x_true] * 3, x=[x_true] * 3,
-                         x_vars=[Variable(x_true) for _ in range(3)])
+    perfect = [Variable(x_true) for _ in range(3)]
     total, term, cons = loss_p1(perfect, x_true, y, op, beta=0.75, tape=tape)
     assert float(total.value) == pytest.approx(0.0, abs=1e-8)
     assert term == pytest.approx(0.0, abs=1e-9)
@@ -97,9 +95,9 @@ def test_loss_p1_beta_zero_matches_hand_computation():
     x_true = random_complex_image(16, 16, seed=18)
     y = op.apply(x_true)
     tape = Tape()
-    traj = unrolled_forward(net, op, y, 2, 1.0, tape)
-    total, _, _ = loss_p1(traj, x_true, y, op, beta=0.0, tape=tape)
-    byhand = sum(norm(y - op.apply(x)) ** 2 for x in traj.x)
+    iterates = unrolled_forward(net, op, y, 2, 1.0, tape)
+    total, _, _ = loss_p1(iterates, x_true, y, op, beta=0.0, tape=tape)
+    byhand = sum(norm(y - op.apply(x.value)) ** 2 for x in iterates)
     assert float(total.value) == pytest.approx(byhand, rel=1e-5)
 
 
@@ -108,8 +106,8 @@ def test_consistency_term_nonnegative():
     op = _op(seed=20)
     y = op.apply(random_complex_image(16, 16, seed=21))
     tape = Tape()
-    traj = unrolled_forward(net, op, y, 3, 1.0, tape)
-    _, _, cons = loss_p1(traj, random_complex_image(16, 16, seed=22), y, op,
+    iterates = unrolled_forward(net, op, y, 3, 1.0, tape)
+    _, _, cons = loss_p1(iterates, random_complex_image(16, 16, seed=22), y, op,
                          beta=0.5, tape=tape)
     assert cons >= 0.0
 
@@ -123,7 +121,7 @@ def test_lr_schedule():
 
 
 def test_overfit_single_sample_smoke():
-    imgs = generate_dataset(1, 16, PhantomSpec(), seed=30)
+    imgs = generate_dataset(1, 16, seed=30)
     op = MaskedFourierOperator(full_mask(16, 16))
     prox = ProximalConfig(feature_maps=8, normalization="none")
     result = train(imgs, op,
@@ -136,7 +134,7 @@ def test_overfit_single_sample_smoke():
 
 
 def test_training_is_seed_deterministic(tmp_path):
-    imgs = generate_dataset(4, 16, PhantomSpec(), seed=31)
+    imgs = generate_dataset(4, 16, seed=31)
     op = _op(seed=32)
 
     def run():
@@ -152,7 +150,7 @@ def test_training_is_seed_deterministic(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_loss_aborts_with_diagnostic():
-    imgs = generate_dataset(2, 16, PhantomSpec(), seed=33)
+    imgs = generate_dataset(2, 16, seed=33)
     op = _op(seed=34)
     with pytest.raises(NumericsError, match="step"):
         train(imgs, op, UnrollConfig(iterations=2),
@@ -162,7 +160,7 @@ def test_nan_loss_aborts_with_diagnostic():
 
 
 def test_alpha_clamped_at_floor():
-    imgs = generate_dataset(2, 16, PhantomSpec(), seed=35)
+    imgs = generate_dataset(2, 16, seed=35)
     op = _op(seed=36)
     res = train(imgs, op,
                 UnrollConfig(iterations=1, alpha_init=2e-4),
@@ -193,7 +191,7 @@ def test_reconstruct_deterministic_and_zero_input():
 
 def test_unrolled_loss_gradient_matches_finite_differences():
     # tiny instance: 8x8 image, T=2, 1 RB, 4 feature maps
-    imgs = generate_dataset(1, 8, PhantomSpec(), seed=40)
+    imgs = generate_dataset(1, 8, seed=40)
     x_true = imgs[0]
     op = MaskedFourierOperator(generate_vardens_mask(8, 8, 0.5, 0.05, 3.0, 41))
     y = op.apply(x_true)
@@ -203,8 +201,8 @@ def test_unrolled_loss_gradient_matches_finite_differences():
 
     def loss_value():
         tape = Tape()
-        traj = unrolled_forward(net, op, y, 2, alpha, tape)
-        total, _, _ = loss_p1(traj, x_true, y, op, beta=0.75, tape=tape)
+        iterates = unrolled_forward(net, op, y, 2, alpha, tape)
+        total, _, _ = loss_p1(iterates, x_true, y, op, beta=0.75, tape=tape)
         return tape, total
 
     tape, total = loss_value()

@@ -133,13 +133,10 @@ def relu(x: Variable, tape: Optional[Tape] = None) -> Variable:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, float32 in/out."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function, float32 in/out: exp is only
+    taken of -|z|, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def swish(x: Variable, tape: Optional[Tape] = None) -> Variable:
@@ -199,34 +196,49 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
 
 
 def _im2col(v: np.ndarray, k: int) -> np.ndarray:
-    """(C, H, W) -> (C*k*k, H*W): the k x k windows of the zero-padded
-    "same" input, one column per output pixel, rows ordered (c, i, j)."""
+    """(C, H, W) -> (C*k*k, H*(W+2p)): the k x k windows of the zero-padded
+    "same" input over an H x (W+2p) output grid, rows ordered (c, i, j).
+
+    Each plane is zero-padded by p, with one more zero row, and read flat,
+    so row (c, i, j) is one contiguous slice from i*(W+2p) + j. The last 2p
+    columns of each grid row are junk (they read the next image row): a
+    caller crops them from its product or multiplies them by _widen's
+    zeros. A 1x1 kernel needs no copy: the input is its column matrix.
+    """
     c, h, w = v.shape
+    if k == 1:
+        return v.reshape(c, h * w)
     p = (k - 1) // 2
-    xp = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
-    xp[:, p:p + h, p:p + w] = v
-    sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (sc, sh, sw, sh, sw),
-                                          writeable=False)
-    return np.ascontiguousarray(win).reshape(c * k * k, h * w)
+    wp = w + 2 * p
+    flat = np.zeros((c, h + 2 * p + 1, wp), np.float32)
+    flat[:, p:p + h, p:p + w] = v
+    sc, sh, s = flat.strides
+    win = np.ndarray((c, k, k, h * wp), np.float32, flat, 0, (sc, sh, s, s))
+    return win.reshape(c * k * k, -1)
 
 
-def _columns(v: np.ndarray, k: int) -> np.ndarray:
-    """The column matrix of v; a 1x1 kernel needs no im2col, since the
-    input itself is its column matrix."""
-    c, h, w = v.shape
-    return v.reshape(c, h * w) if k == 1 else _im2col(v, k)
+def _widen(g: np.ndarray, k: int) -> np.ndarray:
+    """(C, H, W) -> (C, H*(W+2p)): g on _im2col's grid, junk columns zero."""
+    c, h, w = g.shape
+    if k == 1:
+        return g.reshape(c, h * w)
+    gw = np.zeros((c, h, w + k - 1), np.float32)
+    gw[:, :, :w] = g
+    return gw.reshape(c, -1)
 
 
 def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add the columns back onto (C, H, W)."""
+    """Adjoint of _im2col: scatter-add the columns, junk columns zero, back
+    onto (C, H, W). One strided write puts row (c, i, j) at offset
+    i*(W+2p) + j of tap (i, j)'s own padded plane, and one sum over the
+    taps adds them in (i, j) order."""
     p = (k - 1) // 2
-    out = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
-    cols = cols.reshape(c, k, k, h, w)
-    for i in range(k):
-        for j in range(k):
-            out[:, i:i + h, j:j + w] += cols[:, i, j]
-    return out[:, p:p + h, p:p + w]
+    wp = w + 2 * p
+    taps = np.zeros((c, k * k, h + 2 * p + 1, wp), np.float32)
+    sc, st, sh, s = taps.strides
+    np.ndarray((c, k, k, h * wp), np.float32, taps, 0,
+               (sc, k * st + sh, st + s, s))[...] = cols.reshape(c, k, k, -1)
+    return taps.sum(axis=1)[:, p:p + h, p:p + w]
 
 
 def conv2d(x: Variable, kernel: Variable, bias: Variable,
@@ -253,7 +265,8 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d output would be empty for input {v.shape}")
     w2 = kv.reshape(c_out, -1)
-    out = Variable((w2 @ _columns(v, k) + bias.value[:, None]).reshape(c_out, h, w))
+    out = Variable((w2 @ _im2col(v, k)).reshape(c_out, h, -1)[:, :, :w]
+                   + bias.value[:, None, None])
     if tape is not None:
         # the tape keeps the input, not its k*k times larger column matrix;
         # only the kernel VJP needs the columns, and it rebuilds them
@@ -265,11 +278,11 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
             if c_in >= c_out:
                 # correlation of g with the flipped, transposed kernel
                 wf = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                return (wf @ _im2col(g, k)).reshape(c_in, h, w)
-            return _col2im(w2.T @ g.reshape(c_out, -1), c_in, h, w, k)
+                return (wf @ _im2col(g, k)).reshape(c_in, h, -1)[:, :, :w]
+            return _col2im(w2.T @ _widen(g, k), c_in, h, w, k)
 
         def vjp_kernel(g):
-            return (_columns(v, k) @ g.reshape(c_out, -1).T).T.reshape(kv.shape)
+            return (_im2col(v, k) @ _widen(g, k).T).T.reshape(kv.shape)
 
         tape.record(out, [
             (x, vjp_x),

@@ -6,6 +6,8 @@ analytic gradient, and compares against central differences of the same
 scalar evaluated without a tape. Norm-wise relative error is the yardstick.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,9 +112,11 @@ def _closure_arrays(fn, seen=None):
     return found
 
 
-@pytest.mark.parametrize("c_in, c_out, k", [(4, 4, 3), (2, 8, 3), (4, 2, 5), (4, 4, 1)])
+@pytest.mark.parametrize("c_in, c_out, k",
+                         [(4, 4, 3), (2, 8, 3), (4, 2, 5), (2, 4, 5), (4, 4, 1)])
 def test_conv2d_tape_keeps_no_column_matrix(c_in, c_out, k):
-    # the tape holds the input, not its c_in*k*k x H*W column matrix
+    # the tape holds the input, not its c_in*k*k x H*(W+2p) column matrix,
+    # the flat-padded planes or the widened g of the scatter (2, 4, 5)
     rng = np.random.default_rng(11)
     x = Variable(rng.standard_normal((c_in, 9, 12)).astype(np.float32))
     kernel = Variable(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32))
@@ -124,6 +128,115 @@ def test_conv2d_tape_keeps_no_column_matrix(c_in, c_out, k):
     for _, vjp in pulls:
         for arr in _closure_arrays(vjp):
             assert arr.nbytes <= limit, (arr.shape, x.value.shape, out.value.shape)
+
+
+def test_conv2d_records_x_kernel_bias_pulls_in_order():
+    # perfbench's tracer names a conv's pulls by position: x, kernel, bias
+    rng = np.random.default_rng(12)
+    x = Variable(rng.standard_normal((2, 5, 6)).astype(np.float32))
+    kernel = Variable(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+    bias = Variable(rng.standard_normal(3).astype(np.float32))
+    tape = Tape()
+    out = ag.conv2d(x, kernel, bias, tape)
+    (recorded, pulls), = tape._records
+    assert recorded is out
+    assert [var for var, _ in pulls] == [x, kernel, bias]
+    g = rng.standard_normal(out.value.shape).astype(np.float32)
+    for var, vjp in pulls:
+        assert vjp(g).shape == var.value.shape
+
+
+def _strided_im2col(v, k):
+    """The (C*k*k, H*W) column matrix as one as_strided view of the padded input."""
+    c, h, w = v.shape
+    p = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
+    xp[:, p:p + h, p:p + w] = v
+    sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (sc, sh, sw, sh, sw),
+                                          writeable=False)
+    return np.ascontiguousarray(win).reshape(c * k * k, h * w)
+
+
+def _looped_col2im(cols, c, h, w, k):
+    """Adjoint of _strided_im2col: one slice add per tap, taps in (i, j) order."""
+    p = (k - 1) // 2
+    out = np.zeros((c, h + 2 * p, w + 2 * p), np.float32)
+    cols = cols.reshape(c, k, k, h, w)
+    for i in range(k):
+        for j in range(k):
+            out[:, i:i + h, j:j + w] += cols[:, i, j]
+    return out[:, p:p + h, p:p + w]
+
+
+def _conv2d_strided_oracle(x, kv, b, g):
+    """Forward and input VJP through the (C*k*k, H*W) column matrix."""
+    c_out, c_in, k, _ = kv.shape
+    _, h, w = x.shape
+    w2 = kv.reshape(c_out, -1)
+    out = (w2 @ _strided_im2col(x, k) + b[:, None]).reshape(c_out, h, w)
+    if c_in >= c_out:
+        wf = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+        return out, (wf @ _strided_im2col(g, k)).reshape(c_in, h, w)
+    return out, _looped_col2im(w2.T @ g.reshape(c_out, -1), c_in, h, w, k)
+
+
+def _taped_conv(x, kv, b):
+    variables = [Variable(a) for a in (x, kv, b)]
+    tape = Tape()
+    out = ag.conv2d(*variables, tape)
+    (_, pulls), = tape._records
+    return out.value, pulls[0][1], pulls[1][1]
+
+
+@pytest.mark.parametrize("c_in, c_out, k, size", [
+    (32, 32, 3, 64), (2, 32, 3, 64), (2, 4, 5, 32), (4, 4, 5, 32), (4, 2, 5, 32)])
+def test_conv2d_flat_lowering_matches_strided_oracle_bitwise(c_in, c_out, k, size):
+    # the layer shapes of the benchmark's resnet and chain: forward and input
+    # VJP keep K = c*k*k, so dropping the junk columns leaves the same numbers
+    rng = np.random.default_rng(c_in * 100 + c_out * 10 + k)
+    x = rng.standard_normal((c_in, size, size)).astype(np.float32)
+    kv = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32)
+    g = rng.standard_normal((c_out, size, size)).astype(np.float32)
+    out, vjp_x, _ = _taped_conv(x, kv, b)
+    ref_out, ref_dx = _conv2d_strided_oracle(x, kv, b, g)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(vjp_x(g), ref_dx)
+
+
+_ADJOINT_SHAPES = [  # (c_in, c_out, k, h, w): H != W, H or W below k, both input VJPs
+    (3, 2, 3, 5, 8), (2, 3, 3, 7, 4), (2, 5, 5, 3, 9), (4, 2, 5, 9, 2),
+    (3, 4, 7, 6, 11), (5, 2, 7, 10, 5), (1, 1, 7, 1, 1), (2, 3, 5, 1, 6),
+    (3, 2, 1, 4, 6)]
+
+
+def test_adjoint_shapes_cover_both_input_vjps():
+    assert {c_in >= c_out for c_in, c_out, k, _, _ in _ADJOINT_SHAPES if k > 1} \
+        == {True, False}
+
+
+@pytest.mark.parametrize("c_in, c_out, k, h, w", _ADJOINT_SHAPES)
+def test_conv2d_vjps_are_adjoint(c_in, c_out, k, h, w):
+    # <conv(x; K), g> = <x, vjp_x(g)> = <K, vjp_kernel(g)> with zero bias;
+    # a junk column left in or a wrong widen reads another pixel, off by O(1)
+    rng = np.random.default_rng(h * 100 + w * 10 + k)
+    x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+    kv = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+    zero = np.zeros(c_out, np.float32)
+    g = rng.standard_normal((c_out, h, w)).astype(np.float32)
+    out, vjp_x, vjp_kernel = _taped_conv(x, kv, zero)
+    abs_out = ag.conv2d(Variable(np.abs(x)), Variable(np.abs(kv)), Variable(zero)).value
+
+    def dot(a, b):
+        return float(np.sum(a.astype(np.float64) * b.astype(np.float64)))
+
+    # float32 sums of at most n terms on each side: n * eps * sum |terms|
+    n = max(c_in, c_out) * k * k + h * (w + k)
+    tol = 2 * n * np.finfo(np.float32).eps * dot(abs_out, np.abs(g))
+    lhs = dot(out, g)
+    assert abs(lhs - dot(x, vjp_x(g))) <= tol
+    assert abs(lhs - dot(kv, vjp_kernel(g))) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +266,28 @@ def test_swish_matches_sigmoid_gate():
     assert out.value[np.abs(z) < 1e-12].size == 0
     assert np.allclose(out.value / z, ag.sigmoid(z), atol=1e-6)
     assert ag.swish(Variable(np.zeros(1, np.float32))).value[0] == 0.0
+
+
+def _two_branch_sigmoid(z):
+    """The logistic by boolean gathers: exp of -z where z >= 0, of z elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bitwise_matches_two_branch_form_without_warnings():
+    rng = np.random.default_rng(13)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.8, -88.8, 104.0, -104.0,
+                        1e-45, -1e-45, 3.4e38, -3.4e38], np.float32)
+    for z in (special, (rng.standard_normal((2, 32, 32)) * 20).astype(np.float32)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = ag.sigmoid(z)
+        assert s.dtype == np.float32
+        assert s.tobytes() == _two_branch_sigmoid(z).tobytes()
 
 
 def _away_from_kinks(rng, shape, margin=2e-2):

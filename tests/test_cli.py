@@ -675,6 +675,32 @@ def test_threads_do_not_change_metrics(tmp_path):
     assert tables[0] == tables[1]
 
 
+def test_blas_thread_count_does_not_change_outputs(tmp_path):
+    # 32 maps make the 3x3 GEMMs of the 16^2 resnet large enough for OpenBLAS
+    # to split them over threads; the chain's stay below its threshold
+    configs = {"mri": TINY_MRI.replace("feature_maps = 8", "feature_maps = 32"),
+               "chain": TINY_CHAIN}
+    for name, text in configs.items():
+        _write(tmp_path / f"{name}.cfg", text)
+    for threads in ("1", "3"):
+        commands = []
+        for name, text in configs.items():
+            out = f"{name}-{threads}"
+            _write(tmp_path / f"{out}.cfg",
+                   text + f"checkpoint_path = {out}/checkpoint.npgd\n")
+            commands += [["train", "--config", f"{name}.cfg", "--out", out],
+                         ["reconstruct", "--config", f"{out}.cfg", "--out", out]]
+        script = ("import sys\nfrom npgd.cli import main\n"
+                  f"sys.exit(any(main(argv) for argv in {commands!r}))")
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+                       timeout=120)
+    for name in configs:
+        for file in ("checkpoint.npgd", "loss_trace.csv", "metrics.csv", "residuals.csv"):
+            assert (tmp_path / f"{name}-1" / file).read_bytes() == \
+                (tmp_path / f"{name}-3" / file).read_bytes(), (name, file)
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs end in one error line and an exit code, not a traceback
 

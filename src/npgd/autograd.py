@@ -41,9 +41,6 @@ class Variable:
     def grad_or_zeros(self) -> np.ndarray:
         return self.grad if self.grad is not None else np.zeros_like(self.value)
 
-    def __repr__(self):
-        return f"Variable(shape={self.value.shape})"
-
 
 Pull = Tuple[Variable, Callable[[np.ndarray], np.ndarray]]
 
@@ -61,9 +58,6 @@ class Tape:
 
     def record(self, out: Variable, pulls: List[Pull]) -> None:
         self._records.append((out, pulls))
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 def backward(tape: Tape, root: Variable) -> None:
@@ -196,25 +190,46 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
 
 
 def _im2col(v: np.ndarray, k: int) -> np.ndarray:
-    """(C, H, W) -> (C*k*k, H*(W+2p)): the k x k windows of the zero-padded
-    "same" input over an H x (W+2p) output grid, rows ordered (c, i, j).
+    """(C, H, W) -> uncopied (C, k, k, H*(W+2p)) view: the k x k windows of
+    the zero-padded "same" input over an H x (W+2p) output grid.
 
     Each plane is zero-padded by p, with one more zero row, and read flat,
-    so row (c, i, j) is one contiguous slice from i*(W+2p) + j. The last 2p
-    columns of each grid row are junk (they read the next image row): a
+    so window (c, i, j) is one contiguous slice from i*(W+2p) + j. The last
+    2p columns of each grid row are junk (they read the next image row): a
     caller crops them from its product or multiplies them by _widen's
-    zeros. A 1x1 kernel needs no copy: the input is its column matrix.
+    zeros. A 1x1 kernel needs no copy: the input is its own window.
     """
     c, h, w = v.shape
     if k == 1:
-        return v.reshape(c, h * w)
+        return v.reshape(c, 1, 1, h * w)
     p = (k - 1) // 2
     wp = w + 2 * p
     flat = np.zeros((c, h + 2 * p + 1, wp), np.float32)
     flat[:, p:p + h, p:p + w] = v
     sc, sh, s = flat.strides
-    win = np.ndarray((c, k, k, h * wp), np.float32, flat, 0, (sc, sh, s, s))
-    return win.reshape(c * k * k, -1)
+    return np.ndarray((c, k, k, h * wp), np.float32, flat, 0, (sc, sh, s, s))
+
+
+BAND_BYTES = 512 << 10  # column bytes per band GEMM: a quarter of a 2 MiB L2 cache
+SMALL_GEMM = 100 ** 3  # MACs up to which OpenBLAS's small-matrix kernel rounds apart
+
+
+def _conv_same(w2: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """w2 @ im2col(v), junk columns cropped: (C_out, H, W). Even bands of image
+    rows, about BAND_BYTES of columns each, are copied and multiplied in cache.
+    Each output keeps its K = C*k*k dot product and no band falls to SMALL_GEMM
+    multiply-adds unless the whole product does, so bands change no bit."""
+    c, h, w = v.shape
+    n = w + k - 1  # grid columns per image row
+    row = c * k * k * n  # column entries per image row
+    bands = min(-(-4 * row * h // BAND_BYTES), h // (SMALL_GEMM // (len(w2) * row) + 1))
+    if bands <= 1:
+        return (w2 @ _im2col(v, k).reshape(c * k * k, -1)).reshape(len(w2), h, n)[:, :, :w]
+    win, out = _im2col(v, k), np.empty((len(w2), h * n), np.float32)
+    for b in range(bands):
+        s = slice(b * h // bands * n, (b + 1) * h // bands * n)
+        np.matmul(w2, win[..., s].reshape(c * k * k, -1), out=out[:, s])
+    return out.reshape(len(w2), h, n)[:, :, :w]
 
 
 def _widen(g: np.ndarray, k: int) -> np.ndarray:
@@ -265,8 +280,7 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d output would be empty for input {v.shape}")
     w2 = kv.reshape(c_out, -1)
-    out = Variable((w2 @ _im2col(v, k)).reshape(c_out, h, -1)[:, :, :w]
-                   + bias.value[:, None, None])
+    out = Variable(_conv_same(w2, v, k) + bias.value[:, None, None])
     if tape is not None:
         # the tape keeps the input, not its k*k times larger column matrix;
         # only the kernel VJP needs the columns, and it rebuilds them
@@ -278,11 +292,12 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
             if c_in >= c_out:
                 # correlation of g with the flipped, transposed kernel
                 wf = kv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                return (wf @ _im2col(g, k)).reshape(c_in, h, -1)[:, :, :w]
+                return _conv_same(wf, g, k)
             return _col2im(w2.T @ _widen(g, k), c_in, h, w, k)
 
         def vjp_kernel(g):
-            return (_im2col(v, k) @ _widen(g, k).T).T.reshape(kv.shape)
+            cols = _im2col(v, k).reshape(w2.shape[1], -1)
+            return (cols @ _widen(g, k).T).T.reshape(kv.shape)
 
         tape.record(out, [
             (x, vjp_x),

@@ -80,9 +80,7 @@ class _Writer:
         nb = name.encode("utf-8")
         arr = np.asarray(arr, np.float32)
         self.parts.append(struct.pack("<H", len(nb)) + nb)
-        self.parts.append(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            self.parts.append(struct.pack("<I", d))
+        self.parts.append(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
         self.parts.append(arr.astype("<f4").tobytes())
 
     def raw(self, b: bytes):
@@ -111,9 +109,7 @@ def serialize(ck: Checkpoint) -> bytes:
 
 class _Reader:
     def __init__(self, blob: bytes, origin: str):
-        self.blob = blob
-        self.pos = 0
-        self.origin = origin
+        self.blob, self.pos, self.origin = blob, 0, origin
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
@@ -238,13 +234,10 @@ def restore_net(ck: Checkpoint) -> Tuple[ProximalNet, float]:
 
     Rejects a parameter or step size that is not finite."""
     net = build(ck.prox, seed=0)
-    expected = set(net.params)
-    got = set(ck.params)
+    expected, got = set(net.params), set(ck.params)
     if expected != got:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise FormatError(f"checkpoint parameters do not match config "
-                          f"(missing {missing}, extra {extra})")
+        raise FormatError(f"checkpoint parameters do not match config (missing "
+                          f"{sorted(expected - got)}, extra {sorted(got - expected)})")
     for name, var in net.params.items():
         stored = ck.params[name]
         if stored.shape != var.value.shape:

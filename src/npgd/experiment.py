@@ -20,7 +20,7 @@ from .baselines import default_lambda_grid, fista, ista, tune_lambda
 from .config import ExperimentConfig, parse_sweep_grid
 from .contraction import analyze_trajectory, debias
 from .core import magnitude, norm
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, NumericsError, ParameterError
 from .metrics import nrmse, snr_db, ssim
 from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
 from .pgm import read_pgm, write_pgm16
@@ -201,6 +201,10 @@ def _reconstruct_all(net, alpha: float, op: LinearOperator, iterations: int,
     t0 = time.perf_counter()
     solved = _pmap(lambda pair: reconstruct(net, alpha, op, pair[1], iterations),
                    pairs, threads)
+    bad = [(i, t) for i, (_, res) in enumerate(solved)
+           for t, r in enumerate(res, start=1) if not np.isfinite(r)]
+    if bad:
+        raise NumericsError("image {}: non-finite residual at iteration t={}".format(*bad[0]))
     return solved, (time.perf_counter() - t0) / len(pairs)
 
 

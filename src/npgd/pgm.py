@@ -14,13 +14,15 @@ import re
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, NumericsError
 
 
 def write_pgm16(path, plane: np.ndarray) -> None:
     plane = np.asarray(plane, np.float64)
     if plane.ndim != 2:
         raise FormatError("write_pgm16 expects a 2-D plane")
+    if not np.isfinite(plane).all():
+        raise NumericsError(f"{path}: cannot store a non-finite plane")
     vmin, vmax = float(plane.min()), float(plane.max())
     if vmax > vmin:
         q = np.round((plane - vmin) / (vmax - vmin) * 65535.0)

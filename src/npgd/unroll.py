@@ -261,6 +261,7 @@ def write_trace_csv(rows: Sequence[tuple], path) -> None:
     write_csv(path, TRACE_HEADER, rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct(net: ProximalNet, alpha: float, op: LinearOperator,
                 y: np.ndarray, iterations: int) -> Tuple[np.ndarray, List[float]]:
     """Inference pass; returns x_T and the per-iteration residuals ||y - apply(x_t)||."""

@@ -6,7 +6,9 @@ analytic gradient, and compares against central differences of the same
 scalar evaluated without a tape. Norm-wise relative error is the yardstick.
 """
 
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,20 +191,111 @@ def _taped_conv(x, kv, b):
     return out.value, pulls[0][1], pulls[1][1]
 
 
-@pytest.mark.parametrize("c_in, c_out, k, size", [
-    (32, 32, 3, 64), (2, 32, 3, 64), (2, 4, 5, 32), (4, 4, 5, 32), (4, 2, 5, 32)])
-def test_conv2d_flat_lowering_matches_strided_oracle_bitwise(c_in, c_out, k, size):
-    # the layer shapes of the benchmark's resnet and chain: forward and input
-    # VJP keep K = c*k*k, so dropping the junk columns leaves the same numbers
+def _random_conv(c_in, c_out, k, size):
+    """x, kernel, bias and an output cotangent g, seeded by the shape."""
     rng = np.random.default_rng(c_in * 100 + c_out * 10 + k)
-    x = rng.standard_normal((c_in, size, size)).astype(np.float32)
-    kv = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
-    b = rng.standard_normal(c_out).astype(np.float32)
-    g = rng.standard_normal((c_out, size, size)).astype(np.float32)
+    return (rng.standard_normal((c_in, size, size)).astype(np.float32),
+            rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+            rng.standard_normal(c_out).astype(np.float32),
+            rng.standard_normal((c_out, size, size)).astype(np.float32))
+
+
+# (c_in, c_out, k, size) run in several row bands: the resnet's 32->2 tail,
+# where the small-GEMM floor sets the bands, and k = 5, 7 layers with rows
+# that do not split evenly, so some bands are a row shorter than others
+_BAND_SHAPES = [(32, 2, 3, 64), (16, 32, 5, 40), (32, 32, 5, 40), (32, 16, 7, 24),
+                (32, 32, 7, 24)]
+
+
+@pytest.mark.parametrize("c_in, c_out, k, size", [
+    (32, 32, 3, 64), (2, 32, 3, 64), (2, 4, 5, 32), (4, 4, 5, 32), (4, 2, 5, 32),
+    *_BAND_SHAPES])
+def test_conv2d_flat_lowering_matches_strided_oracle_bitwise(c_in, c_out, k, size):
+    # the layer shapes of the benchmark's resnet and chain, then multi-band
+    # ones: forward and input VJP keep K = c*k*k, so neither dropping the junk
+    # columns nor splitting the rows into bands changes a bit
+    x, kv, b, g = _random_conv(c_in, c_out, k, size)
     out, vjp_x, _ = _taped_conv(x, kv, b)
     ref_out, ref_dx = _conv2d_strided_oracle(x, kv, b, g)
     assert np.array_equal(out, ref_out)
     assert np.array_equal(vjp_x(g), ref_dx)
+
+
+def _band_gemms(monkeypatch, fn):
+    """(M, K, N) of every band GEMM, the np.matmul(..., out=) calls, of fn()."""
+    gemms, matmul = [], np.matmul
+
+    def spy(a, b, out):
+        gemms.append((a.shape[0], b.shape[0], b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    fn()
+    monkeypatch.setattr(np, "matmul", matmul)
+    return gemms
+
+
+@pytest.mark.parametrize("c_in, c_out, k, size", _BAND_SHAPES)
+def test_band_shapes_split_rows_evenly_above_the_small_gemm_size(monkeypatch, c_in,
+                                                                 c_out, k, size):
+    # the forward and the c_in >= c_out input VJP run several bands that cover
+    # the rows once, differ by at most a row, and each multiply more than
+    # SMALL_GEMM times, where OpenBLAS rounds the same way as for the whole product
+    x, kv, b, g = _random_conv(c_in, c_out, k, size)
+    _, vjp_x, _ = _taped_conv(x, kv, b)
+    forward = _band_gemms(monkeypatch, lambda: _taped_conv(x, kv, b))
+    backward_x = _band_gemms(monkeypatch, lambda: vjp_x(g))
+    # the tail's input VJP correlates a 2-channel g, whose columns fit in one band
+    assert (backward_x != []) == (c_in >= c_out > 2)
+    for gemms in [forward, backward_x] if backward_x else [forward]:
+        heights = [n // (size + k - 1) for _, _, n in gemms]
+        assert len(heights) > 1 and sum(heights) == size
+        assert max(heights) - min(heights) <= 1
+        assert (max(heights) > min(heights)) == ((c_in, c_out) != (32, 2))
+        assert all(m * kk * n > ag.SMALL_GEMM for m, kk, n in gemms)
+
+
+def test_single_band_convs_run_no_band_gemm(monkeypatch):
+    # the benchmark's chain layers and resnet head fit in one band, which
+    # takes the plain product, not the banded path
+    for c_in, c_out, k, size in [(2, 32, 3, 64), (2, 4, 5, 32), (4, 4, 5, 32), (4, 2, 5, 32)]:
+        x, kv, b, g = _random_conv(c_in, c_out, k, size)
+        _, vjp_x, _ = _taped_conv(x, kv, b)
+        assert _band_gemms(monkeypatch, lambda: (_taped_conv(x, kv, b), vjp_x(g))) == []
+
+
+def test_conv2d_bands_are_bit_equal_across_python_threads():
+    # _pmap runs conv2d from several threads at once; no band buffer is shared
+    cases = [_random_conv(*shape) for shape in [(32, 32, 3, 64), (32, 32, 5, 40)]] * 3
+
+    def run(case):
+        x, kv, b, g = case
+        out, vjp_x, vjp_kernel = _taped_conv(x, kv, b)
+        return out, vjp_x(g), vjp_kernel(g)
+
+    serial = [run(case) for case in cases]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(run, cases))
+    for want, got in zip(serial, threaded):
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def test_conv2d_passes_allocate_less_than_the_column_matrix():
+    # a taped 32->32 3x3 64^2 forward and its input VJP each peak below the
+    # 4.87 MB column matrix C*k*k x H*(W+2p) that one GEMM over all rows needs
+    x, kv, b, g = _random_conv(32, 32, 3, 64)
+    columns = 32 * 9 * 64 * 66 * 4
+    tracemalloc.start()
+    try:
+        _, vjp_x, _ = _taped_conv(x, kv, b)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        vjp_x(g)
+        vjp_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < columns and vjp_peak < columns, (forward_peak, vjp_peak)
 
 
 _ADJOINT_SHAPES = [  # (c_in, c_out, k, h, w): H != W, H or W below k, both input VJPs

@@ -11,7 +11,7 @@ from npgd.checkpoint import _Writer
 from npgd.cli import main
 from npgd.config import parse_config_text, parse_sweep_grid
 from npgd.core import magnitude
-from npgd.errors import ConfigError
+from npgd.errors import ConfigError, NpgdError
 from npgd.pgm import read_pgm, write_pgm16
 from npgd.phantoms import generate_dataset
 
@@ -207,6 +207,17 @@ def test_pgm16_constant_plane(tmp_path):
     path = tmp_path / "c.pgm"
     write_pgm16(path, np.zeros((4, 4), np.float32))
     assert np.allclose(read_pgm(path), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm16_rejects_non_finite_plane(tmp_path, bad):
+    # a range comment of nan or inf is one that read_pgm refuses
+    plane = np.zeros((4, 4), np.float32)
+    plane[1, 2] = bad
+    path = tmp_path / "n.pgm"
+    with pytest.raises(NpgdError, match="non-finite"):
+        write_pgm16(path, plane)
+    assert not path.exists()
 
 
 def test_pgm_p2_reading(tmp_path):
@@ -690,7 +701,17 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
                    text + f"checkpoint_path = {out}/checkpoint.npgd\n")
             commands += [["train", "--config", f"{name}.cfg", "--out", out],
                          ["reconstruct", "--config", f"{out}.cfg", "--out", out]]
+        # a 32->32 3x3 64^2 conv runs in row bands, unlike every 16^2 layer
         script = ("import sys\nfrom npgd.cli import main\n"
+                  "from npgd.autograd import Tape, Variable, conv2d\n"
+                  "import numpy as np\n"
+                  "rng = np.random.default_rng(7)\n"
+                  "x, k, b, g = (Variable(rng.standard_normal(s).astype(np.float32)) for s in "
+                  "[(32, 64, 64), (32, 32, 3, 3), (32,), (32, 64, 64)])\n"
+                  "tape = Tape()\nout = conv2d(x, k, b, tape)\n"
+                  f"with open('conv-{threads}.bin', 'wb') as fh:\n"
+                  "    for a in [out.value] + [vjp(g.value) for _, vjp in tape._records[0][1]]:\n"
+                  "        fh.write(a.tobytes())\n"
                   f"sys.exit(any(main(argv) for argv in {commands!r}))")
         env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
@@ -699,6 +720,7 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
         for file in ("checkpoint.npgd", "loss_trace.csv", "metrics.csv", "residuals.csv"):
             assert (tmp_path / f"{name}-1" / file).read_bytes() == \
                 (tmp_path / f"{name}-3" / file).read_bytes(), (name, file)
+    assert (tmp_path / "conv-1.bin").read_bytes() == (tmp_path / "conv-3.bin").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +830,28 @@ def test_non_finite_update_exits_1_without_checkpoint(tmp_path, capsys):
     assert "at step 0" in err and "layer2.kernel" in err
     assert not (out / "checkpoint.npgd").exists()
     assert not (out / "loss_trace.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_diverging_reconstruct_exits_1_naming_image_and_iteration(tmp_path, capsys, threads):
+    # a trained chain re-saved with alpha = 3e38 overflows within a few steps;
+    # reconstruct stops at the first non-finite residual, with no overflow
+    # warning (an error under pytest) from the worker threads either
+    from npgd import checkpoint
+    cfg_path = _write(tmp_path / "c.cfg", TINY_CHAIN)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    ck = checkpoint.load(tmp_path / "run" / "checkpoint.npgd")
+    ck.alpha = 3e38
+    checkpoint.save(ck, tmp_path / "big.npgd")
+    rec_cfg = _write(tmp_path / "r.cfg", TINY_CHAIN + f"threads = {threads}\n"
+                     f"checkpoint_path = {tmp_path / 'big.npgd'}\n")
+    rec = tmp_path / "rec"
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", rec_cfg, "--out", str(rec)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"npgd: error: image 0: non-finite residual at iteration t=[1-3]\n",
+                        err), err
+    assert os.listdir(rec) == []
 
 
 @pytest.mark.parametrize("slot", ["head.kernel", "alpha"])

@@ -8,6 +8,10 @@ inference and diagnostics free of bookkeeping.
 Gradients accumulate additively, so a parameter reused many times (shared
 weights across unrolled iterations) receives the sum of all contributions.
 Callers zero grads between steps.
+
+A tape is single-use: it records gradient slots, not values, and
+``backward`` consumes it, so afterwards only Variables that were never an
+op output on it (parameters, the step size, a caller's leaves) keep grads.
 """
 
 from __future__ import annotations
@@ -19,21 +23,44 @@ import numpy as np
 from .errors import ContractError, ParameterError, ShapeError
 
 
-class Variable:
-    """A value plus its (lazily allocated) gradient."""
+class Grad:
+    """A Variable's gradient slot: what a tape record holds in its place."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("grad",)
 
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float32)
+    def __init__(self):
         self.grad: Optional[np.ndarray] = None
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # a copy, never g itself: add's VJP hands one array to both parents
-            self.grad = np.array(g, dtype=np.float32)
+            # adopted: no pullback hands out an array someone else holds
+            self.grad = np.asarray(g, dtype=np.float32)
         else:
             self.grad += g
+
+
+class Variable:
+    """A value plus a gradient slot, made on first use (untaped ops make none)."""
+
+    __slots__ = ("value", "_node")
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=np.float32)
+        self._node: Optional[Grad] = None
+
+    @property
+    def node(self) -> Grad:
+        if self._node is None:
+            self._node = Grad()
+        return self._node
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self.node.grad = g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -42,39 +69,42 @@ class Variable:
         return self.grad if self.grad is not None else np.zeros_like(self.value)
 
 
-Pull = Tuple[Variable, Callable[[np.ndarray], np.ndarray]]
-
-
 class Tape:
     """Execution-ordered record of primitive ops.
 
-    Each record pairs the op's output with (parent, vector-Jacobian
-    product) closures. Appending in execution order makes the list
-    topologically sorted, so one reverse sweep suffices.
+    Each record pairs the op output's gradient slot with (parent slot,
+    vector-Jacobian product) closures. Appending in execution order makes
+    the list topologically sorted, so one reverse sweep suffices.
     """
 
     def __init__(self):
-        self._records: List[Tuple[Variable, List[Pull]]] = []
+        self._records: Optional[List[Tuple[Grad, List[Tuple[Grad, Callable]]]]] = []
 
-    def record(self, out: Variable, pulls: List[Pull]) -> None:
-        self._records.append((out, pulls))
+    def record(self, out: Variable, pulls: List[Tuple[Variable, Callable]]) -> None:
+        self._records.append((out.node, [(var.node, vjp) for var, vjp in pulls]))
 
 
 def backward(tape: Tape, root: Variable) -> None:
     """Accumulate d(root)/d(v) into v.grad for every variable on the tape.
 
     root must be scalar. Nodes not on any path to root contribute
-    nothing (their grad stays as the caller left it).
+    nothing (their grad stays as the caller left it). The sweep consumes
+    the tape, releasing each op output's grad before its pullbacks run, so
+    only leaves keep grads; a second backward on the tape is an error.
     """
     if root.value.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
-    root.accumulate(np.ones_like(root.value))
-    for out, pulls in reversed(tape._records):
-        g = out.grad
+    records, tape._records = tape._records, None
+    if records is None:
+        raise ContractError("backward on a tape that backward has already consumed")
+    root.node.accumulate(np.ones_like(root.value))
+    while records:
+        out, pulls = records.pop()
+        g, out.grad = out.grad, None
         if g is None:
             continue
-        for var, vjp in pulls:
-            var.accumulate(vjp(g))
+        for node, vjp in pulls:
+            node.accumulate(vjp(g))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +120,7 @@ def add(a: Variable, b: Variable, tape: Optional[Tape] = None) -> Variable:
     _require_same_shape(a, b, "add")
     out = Variable(a.value + b.value)
     if tape is not None:
-        tape.record(out, [(a, lambda g: g), (b, lambda g: g)])
+        tape.record(out, [(a, lambda g: g), (b, lambda g: g.copy())])
     return out
 
 
@@ -311,13 +341,9 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
 # reductions / losses
 
 
-def _scalar(value_f64: float) -> Variable:
-    return Variable(np.float32(value_f64))
-
-
 def sum_squares(a: Variable, tape: Optional[Tape] = None) -> Variable:
     v64 = a.value.astype(np.float64)
-    out = _scalar(np.sum(v64 * v64))
+    out = Variable(np.sum(v64 * v64))
     if tape is not None:
         av = a.value
         tape.record(out, [(a, lambda g: np.float32(2) * av * g)])
@@ -330,7 +356,7 @@ def mse_loss(a: Variable, target: np.ndarray, tape: Optional[Tape] = None) -> Va
     if a.value.shape != target.shape:
         raise ShapeError(f"mse_loss: shape {a.value.shape} vs {target.shape}")
     d = a.value - target
-    out = _scalar(np.sum(d.astype(np.float64) ** 2))
+    out = Variable(np.sum(d.astype(np.float64) ** 2))
     if tape is not None:
         tape.record(out, [(a, lambda g: np.float32(2) * d * g)])
     return out
@@ -344,7 +370,7 @@ def smooth_l1_loss(a: Variable, target: np.ndarray,
         raise ShapeError(f"smooth_l1_loss: shape {a.value.shape} vs {target.shape}")
     d = a.value - target
     root = np.sqrt(d * d + np.float32(1e-8))
-    out = _scalar(np.sum(root.astype(np.float64)))
+    out = Variable(np.sum(root.astype(np.float64)))
     if tape is not None:
         tape.record(out, [(a, lambda g: g * d / root)])
     return out

@@ -213,9 +213,8 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
                                                 op, unroll_cfg.beta,
                                                 unroll_cfg.loss, tape)
                 if not np.isfinite(float(total.value)):
-                    raise NumericsError(
-                        f"non-finite loss at step {step} (lr={lr:.3g}, "
-                        f"grad_norm={optimizer.grad_norm():.3g})")
+                    raise NumericsError(f"non-finite loss at step {step} on training "
+                                        f"image {i} (lr={lr:.3g})")
                 mean = ag.scale(total, 1.0 / len(batch), tape)
                 backward(tape, mean)
                 tot += float(total.value) / len(batch)

@@ -9,9 +9,9 @@ Gradients accumulate additively, so a parameter reused many times (shared
 weights across unrolled iterations) receives the sum of all contributions.
 Callers zero grads between steps.
 
-A tape is single-use: it records gradient slots, not values, and
-``backward`` consumes it, so afterwards only Variables that were never an
-op output on it (parameters, the step size, a caller's leaves) keep grads.
+A tape is single-use. It keeps gradient slots and what backward reads (a
+conv's input, a norm's xhat, a swish's slope, one bit per relu mask), and
+``backward`` consumes it: then only Variables no op on it output keep grads.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class Grad:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # adopted: no pullback hands out an array someone else holds
-            self.grad = np.asarray(g, dtype=np.float32)
+            # adopted (no pullback hands out a shared array); a cropped view is copied
+            self.grad = np.asarray(g, np.float32, order="C")
         else:
             self.grad += g
 
@@ -151,8 +151,9 @@ def relu(x: Variable, tape: Optional[Tape] = None) -> Variable:
     v = x.value
     out = Variable(np.fmax(v, np.float32(0)))
     if tape is not None:
-        mask = v > 0
-        tape.record(out, [(x, lambda g: g * mask)])
+        bits, shape = np.packbits(v > 0), v.shape  # one bit per element; never v itself
+        tape.record(out, [(x, lambda g: g * np.unpackbits(bits, count=g.size)
+                           .view(bool).reshape(shape))])
     return out
 
 
@@ -169,7 +170,8 @@ def swish(x: Variable, tape: Optional[Tape] = None) -> Variable:
     d = sigmoid(v)
     out = Variable(v * d)
     if tape is not None:
-        tape.record(out, [(x, lambda g: g * (d + v * d * (np.float32(1) - d)))])
+        slope = d + v * d * (np.float32(1) - d)
+        tape.record(out, [(x, lambda g: g * slope)])
     return out
 
 
@@ -241,7 +243,14 @@ def _im2col(v: np.ndarray, k: int) -> np.ndarray:
 
 
 BAND_BYTES = 512 << 10  # column bytes per band GEMM: a quarter of a 2 MiB L2 cache
+KERNEL_BAND_BYTES = 4 * BAND_BYTES  # kernel-VJP bands: longer GEMMs measured faster
 SMALL_GEMM = 100 ** 3  # MACs up to which OpenBLAS's small-matrix kernel rounds apart
+
+
+def _bands(units: int, size: int, rows: int, budget: int) -> int:
+    """Even bands of `units` (`size` column floats each, multiplied into `rows` outputs):
+    the fewest within `budget` bytes, none at SMALL_GEMM MACs or under unless all are."""
+    return max(1, min(-(-4 * size * units // budget), units // (SMALL_GEMM // (rows * size) + 1)))
 
 
 def _conv_same(w2: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -252,7 +261,7 @@ def _conv_same(w2: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     c, h, w = v.shape
     n = w + k - 1  # grid columns per image row
     row = c * k * k * n  # column entries per image row
-    bands = min(-(-4 * row * h // BAND_BYTES), h // (SMALL_GEMM // (len(w2) * row) + 1))
+    bands = _bands(h, row, len(w2), BAND_BYTES)
     if bands <= 1:
         return (w2 @ _im2col(v, k).reshape(c * k * k, -1)).reshape(len(w2), h, n)[:, :, :w]
     win, out = _im2col(v, k), np.empty((len(w2), h * n), np.float32)
@@ -326,8 +335,14 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
             return _col2im(w2.T @ _widen(g, k), c_in, h, w, k)
 
         def vjp_kernel(g):
-            cols = _im2col(v, k).reshape(w2.shape[1], -1)
-            return (cols @ _widen(g, k).T).T.reshape(kv.shape)
+            # bands of input channels: each entry keeps its whole H*(W+2p) dot product
+            win, gw = _im2col(v, k), _widen(g, k).T
+            bands = _bands(c_in, k * k * gw.shape[0], c_out, KERNEL_BAND_BYTES) if k > 1 else 1
+            dk = np.empty((c_in, k * k, c_out), np.float32)
+            for b in range(bands):
+                s = slice(b * c_in // bands, (b + 1) * c_in // bands)
+                np.matmul(win[s].reshape(-1, gw.shape[0]), gw, out=dk[s].reshape(-1, c_out))
+            return dk.reshape(-1, c_out).T.reshape(kv.shape)
 
         tape.record(out, [
             (x, vjp_x),

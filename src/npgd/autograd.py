@@ -10,8 +10,10 @@ weights across unrolled iterations) receives the sum of all contributions.
 Callers zero grads between steps.
 
 A tape is single-use. It keeps gradient slots and what backward reads (a
-conv's input, a norm's xhat, a swish's slope, one bit per relu mask), and
-``backward`` consumes it: then only Variables no op on it output keep grads.
+conv's input or that input's ``rebuild``, a norm's xhat, a swish's slope,
+one bit per relu mask), and ``backward`` consumes it. A taped norm, gate or
+add sets ``rebuild`` on its output only: it returns a fresh array bit-equal
+to the value from forward-time arrays that some record keeps.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ class Grad:
 
 
 class Variable:
-    """A value plus a gradient slot, made on first use (untaped ops make none)."""
+    """A value, a gradient slot made on first use (untaped ops make none), and a rebuild."""
 
-    __slots__ = ("value", "_node")
+    __slots__ = ("value", "_node", "rebuild")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float32)
         self._node: Optional[Grad] = None
+        self.rebuild: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def node(self) -> Grad:
@@ -121,6 +124,12 @@ def add(a: Variable, b: Variable, tape: Optional[Tape] = None) -> Variable:
     out = Variable(a.value + b.value)
     if tape is not None:
         tape.record(out, [(a, lambda g: g), (b, lambda g: g.copy())])
+        ra, rb = a.rebuild, b.rebuild  # summed in place into a rebuild's fresh array
+        if ra and rb:
+            out.rebuild = lambda: np.add(y := ra(), rb(), out=y)
+        elif ra or rb:  # the side without one keeps its value; addition commutes
+            r, other = (ra, b.value) if ra else (rb, a.value)
+            out.rebuild = lambda: np.add(y := r(), other, out=y)
     return out
 
 
@@ -154,6 +163,8 @@ def relu(x: Variable, tape: Optional[Tape] = None) -> Variable:
         bits, shape = np.packbits(v > 0), v.shape  # one bit per element; never v itself
         tape.record(out, [(x, lambda g: g * np.unpackbits(bits, count=g.size)
                            .view(bool).reshape(shape))])
+        if (r := x.rebuild) is not None:  # captures r only, never x or v
+            out.rebuild = lambda: np.fmax(y := r(), np.float32(0), out=y)
     return out
 
 
@@ -172,6 +183,8 @@ def swish(x: Variable, tape: Optional[Tape] = None) -> Variable:
     if tape is not None:
         slope = d + v * d * (np.float32(1) - d)
         tape.record(out, [(x, lambda g: g * slope)])
+        if (r := x.rebuild) is not None:  # captures r only, never x or v
+            out.rebuild = lambda: np.multiply(u := r(), sigmoid(u), out=u)
     return out
 
 
@@ -196,8 +209,14 @@ def instance_norm(x: Variable, gamma: Variable, beta: Variable,
     var = np.square(xhat).sum(axis=(1, 2), keepdims=True) / n
     inv_std = (1.0 / np.sqrt(var + np.float32(1e-5))).astype(np.float32)
     xhat *= inv_std
-    out = Variable(gamma.value[:, None, None] * xhat + beta.value[:, None, None])
+    gamma_v, beta_v = gamma.value[:, None, None], beta.value[:, None, None]
+    def affine():  # the output, and its rebuild: Adam replaces gamma and beta, never writes them
+        y = gamma_v * xhat
+        y += beta_v
+        return y
+    out = Variable(affine())
     if tape is not None:
+        out.rebuild = affine
         def vjp_x(g):
             # inv_std/n * (n*dxhat - sum_d - xhat*sum_dx), updated in place
             t = g * gamma.value[:, None, None]
@@ -321,8 +340,9 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     w2 = kv.reshape(c_out, -1)
     out = Variable(_conv_same(w2, v, k) + bias.value[:, None, None])
     if tape is not None:
-        # the tape keeps the input, not its k*k times larger column matrix;
-        # only the kernel VJP needs the columns, and it rebuilds them
+        # the tape keeps the input or its rebuild, not the k*k times larger column
+        # matrix; only the kernel VJP needs the columns, and it makes them
+        src = x.rebuild or (lambda: v)  # never set on x: a leaf's value may change
         def vjp_x(g):
             if k == 1:
                 return (w2.T @ g.reshape(c_out, -1)).reshape(c_in, h, w)
@@ -336,7 +356,7 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
 
         def vjp_kernel(g):
             # bands of input channels: each entry keeps its whole H*(W+2p) dot product
-            win, gw = _im2col(v, k), _widen(g, k).T
+            win, gw = _im2col(src(), k), _widen(g, k).T
             bands = _bands(c_in, k * k * gw.shape[0], c_out, KERNEL_BAND_BYTES) if k > 1 else 1
             dk = np.empty((c_in, k * k, c_out), np.float32)
             for b in range(bands):

@@ -798,14 +798,19 @@ def test_adopted_input_grad_keeps_no_junk_columns(c_in, c_out):
     assert x.grad.flags.c_contiguous and x.grad.base is None
 
 
+def _mri_sample(size, seed=5):
+    x_true = generate_dataset(1, size, seed=seed)[0]
+    op = MaskedFourierOperator(generate_vardens_mask(size, size, 0.3, 0.05, 3.0, 6))
+    return x_true, op, op.apply(x_true)
+
+
 def test_taped_resnet_sample_peak_memory():
     # a 32^2, 8-map resnet sample at T = 3, forward plus backward, peaked at
     # 3.2 MB of numpy allocations while the tape kept every op output and
     # every intermediate grad to the end; with slots and a consuming sweep
-    # it peaked at 1.219 MB, and with 1-bit relu masks it peaks at 1.191 MB
-    x_true = generate_dataset(1, 32, seed=5)[0]
-    op = MaskedFourierOperator(generate_vardens_mask(32, 32, 0.3, 0.05, 3.0, 6))
-    y = op.apply(x_true)
+    # it peaked at 1.219 MB, with 1-bit relu masks at 1.191 MB, and with
+    # conv inputs kept as rebuilds it peaks at 1.007 MB
+    x_true, op, y = _mri_sample(32)
     net = build(ProximalConfig(feature_maps=8), seed=7, zero_init_output=False)
     alpha = Variable(np.array(1.0, np.float32))
     tracemalloc.start()
@@ -818,4 +823,169 @@ def test_taped_resnet_sample_peak_memory():
     finally:
         tracemalloc.stop()
     assert alpha.grad is not None
-    assert peak < 1.56e6, peak  # the measured peak plus 31%
+    assert peak < 1.32e6, peak  # the measured peak plus 31%
+
+
+def test_taped_benchmark_resnet_forward_keeps_a_small_tape():
+    # the benchmark's 64^2 sample (32 maps, T = 10): per iteration the tape
+    # keeps u, both xhats and the inputs of tail2 and tail3; the inputs of
+    # conv2 and tail1 are rebuilt in backward. 38.2 MB when it kept them, 27.7 MB now
+    x_true, op, y = _mri_sample(64)
+    net = build(ProximalConfig(feature_maps=32), seed=7, zero_init_output=False)
+    alpha = Variable(np.array(1.0, np.float32))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        trajectory = unrolled_forward(net, op, y, 10, alpha, tape)
+        del trajectory
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tape._records
+    assert kept <= 28.5e6, kept
+
+
+# ---------------------------------------------------------------------------
+# rebuilds: a taped elementwise op's output, recomputed from what the tape keeps
+
+
+def _norm_input(rng, shape=(4, 6, 7)):
+    v = (rng.standard_normal(shape) * 2 + 0.5).astype(np.float32)
+    v[2] = np.float32(-1.25)  # a constant channel: zero variance
+    return (Variable(v), Variable(rng.uniform(0.5, 1.5, shape[0]).astype(np.float32)),
+            Variable(rng.standard_normal(shape[0]).astype(np.float32)))
+
+
+def _assert_rebuilds_value(out):
+    # fresh and bit-equal every time: an in-place rebuild writes into no kept array
+    for _ in range(2):
+        r = out.rebuild()
+        assert r.dtype == np.float32 and not np.shares_memory(r, out.value)
+        assert r.tobytes() == out.value.tobytes()
+
+
+def test_rebuilds_return_the_value_bit_for_bit():
+    rng = np.random.default_rng(31)
+    tape = Tape()
+    x, gamma, beta = _norm_input(rng)
+    leaf = Variable(rng.standard_normal(x.value.shape).astype(np.float32))
+    n1 = ag.instance_norm(x, gamma, beta, tape)
+    n2 = ag.instance_norm(x, beta, gamma, tape)
+    r, s = ag.relu(n1, tape), ag.swish(n2, tape)
+    outs = [n1, n2, r, s,
+            ag.add(r, s, tape),  # both sides rebuilt
+            ag.add(leaf, r, tape), ag.add(s, leaf, tape),  # one side each way
+            ag.add(ag.add(leaf, ag.relu(n2, tape), tape), ag.swish(n1, tape), tape)]
+    for out in outs:
+        _assert_rebuilds_value(out)
+    assert np.all(n1.value[2] == beta.value[2])  # the zero-variance channel
+
+
+def test_conv_outputs_and_ops_on_unrebuilt_inputs_get_no_rebuild():
+    # recomputing a conv is what the tape exists to avoid, so rebuilds stay elementwise
+    x, k, b, gamma, beta = _conv_norm_leaves(32)
+    other = Variable(np.ones((3, 6, 6), np.float32))
+    tape = Tape()
+    c = ag.conv2d(x, k, b, tape)
+    outs = [c, ag.relu(c, tape), ag.swish(c, tape), ag.add(c, other, tape),
+            ag.scale(c, 2.0, tape), ag.mul(c, other, tape),
+            ag.conv2d(ag.relu(ag.instance_norm(c, gamma, beta, tape), tape),
+                      Variable(np.ones((3, 3, 3, 3), np.float32)), b, tape)]
+    assert all(out.rebuild is None for out in outs)
+
+
+def test_no_taped_op_sets_a_rebuild_on_its_inputs():
+    rng = np.random.default_rng(34)
+    x, k, b, gamma, beta = _conv_norm_leaves(34)
+    tape = Tape()
+    n = ag.instance_norm(ag.conv2d(x, k, b, tape), gamma, beta, tape)
+    r = ag.relu(n, tape)
+    before = n.rebuild, r.rebuild
+    leaf = Variable(rng.standard_normal(r.value.shape).astype(np.float32))
+    ops = [lambda: ag.relu(r, tape), lambda: ag.swish(leaf, tape),
+           lambda: ag.add(leaf, r, tape), lambda: ag.add(r, n, tape),
+           lambda: ag.scale(leaf, 3.0, tape), lambda: ag.mul(r, leaf, tape),
+           lambda: ag.instance_norm(r, gamma, beta, tape),
+           lambda: ag.conv2d(r, Variable(np.ones((2, 3, 3, 3), np.float32)),
+                             Variable(np.zeros(2, np.float32)), tape),
+           lambda: ag.sum_squares(r, tape), lambda: ag.mse_loss(leaf, r.value, tape),
+           lambda: ag.smooth_l1_loss(r, leaf.value, tape)]
+    for op in ops:
+        op()
+    assert all(var.rebuild is None for var in (x, k, b, gamma, beta, leaf))
+    assert (n.rebuild, r.rebuild) == before
+
+
+def test_a_reassigned_leaf_feeds_its_new_value_to_the_next_taped_conv():
+    # a conv keeps its input's rebuild if it has one; a leaf has none, so a
+    # conv after ``leaf.value = ...`` must see the new value, not the first conv's
+    rng = np.random.default_rng(35)
+    x = Variable(rng.standard_normal((3, 7, 8)).astype(np.float32))
+    k = Variable(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+    b = Variable(np.zeros(4, np.float32))
+    ag.conv2d(x, k, b, Tape())
+    x.value = rng.standard_normal(x.value.shape).astype(np.float32)
+    tape = Tape()
+    backward(tape, ag.sum_squares(ag.conv2d(x, k, b, tape), tape))
+    fresh_k, fresh = Variable(k.value), Tape()
+    backward(fresh, ag.sum_squares(
+        ag.conv2d(Variable(x.value.copy()), fresh_k, Variable(b.value), fresh), fresh))
+    assert k.grad.tobytes() == fresh_k.grad.tobytes()
+
+
+def test_conv_on_a_rebuilt_input_keeps_nothing_input_sized_of_its_own():
+    # the conv record keeps relu(norm(.))'s rebuild, which reads the xhat the
+    # norm record keeps; the relu output itself dies with the caller's Variable
+    rng = np.random.default_rng(36)
+    x, gamma, beta = _norm_input(rng, (8, 16, 16))
+    tape = Tape()
+    n = ag.instance_norm(x, gamma, beta, tape)
+    r = ag.relu(n, tape)
+    value = weakref.ref(r.value)
+    ag.conv2d(r, Variable(rng.standard_normal((8, 8, 3, 3)).astype(np.float32)),
+              Variable(np.zeros(8, np.float32)), tape)
+    del n, r
+    assert value() is None
+    (_, norm_pulls), _, (_, conv_pulls) = tape._records
+    norm_kept = [id(a) for _, vjp in norm_pulls for a in _closure_arrays(vjp)]
+    for _, vjp in conv_pulls:
+        for arr in _closure_arrays(vjp):
+            assert arr.nbytes < x.value.nbytes or id(arr) in norm_kept, arr.shape
+
+
+def _suppress_rebuilds(monkeypatch):
+    """Clear the rebuild of every output of the ops that set one."""
+    for name in ("instance_norm", "relu", "swish", "add"):
+        def cleared(*args, _op=getattr(ag, name), **kwargs):
+            out = _op(*args, **kwargs)
+            out.rebuild = None
+            return out
+        monkeypatch.setattr(ag, name, cleared)
+
+
+def _sample_grads(cfg):
+    x_true, op, y = _mri_sample(16)
+    net = build(ProximalConfig(feature_maps=8, **cfg), seed=7, zero_init_output=False)
+    alpha = Variable(np.array(1.0, np.float32))
+    tape = Tape()
+    total, _, _ = loss_p1(unrolled_forward(net, op, y, 3, alpha, tape), x_true, y, op,
+                          beta=0.75, tape=tape)
+    backward(tape, total)
+    return {name: var.grad.tobytes() for name, var in [*net.params.items(), ("alpha", alpha)]}
+
+
+@pytest.mark.parametrize("cfg", [{}, {"activation": "swish"}, {"num_res_blocks": 2}])
+def test_resnet_gradients_are_bit_equal_with_rebuilds_suppressed(monkeypatch, cfg):
+    rebuilt = []
+    conv = ag.conv2d
+
+    def spy(x, *args, **kwargs):
+        rebuilt.append(x.rebuild is not None)
+        return conv(x, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ag, "conv2d", spy)
+        with_rebuilds = _sample_grads(cfg)
+    assert sum(rebuilt) == 3 * (2 * cfg.get("num_res_blocks", 1))  # conv2s, tail1, later conv1s
+    _suppress_rebuilds(monkeypatch)
+    assert _sample_grads(cfg) == with_rebuilds

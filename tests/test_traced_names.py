@@ -65,18 +65,24 @@ x, k1, b1, k2, b2, gamma, beta = (
 tape = ag.Tape()
 h = ag.relu(ag.instance_norm(ag.conv2d(x, k1, b1, tape), gamma, beta, tape), tape)
 loss = ag.sum_squares(ag.conv2d(h, k2, b2, tape), tape)
+rebuilt = h.rebuild is not None
 ag.backward(tape, loss)
-print(json.dumps({"calls": t.summary()[0], "records": t.counts["autograd.tape.records"]}))
+print(json.dumps({"calls": t.summary()[0], "records": t.counts["autograd.tape.records"],
+                  "rebuilt": rebuilt}))
 """
 
 
 def test_tracer_spans_each_pull_once_however_the_pull_is_split():
     # conv -> instance_norm -> relu -> conv at 32 maps, 64^2, whose kernel
     # VJPs run in channel bands and whose relu mask is unpacked in its pull:
-    # one span per pull, none per band
+    # one span per pull, none per band. The second kernel VJP rebuilds its
+    # input relu(norm(.)) with numpy alone, so backward runs no traced op
     traced = json.loads(_run(_TAPED_CHAIN).stdout.splitlines()[-1])
     calls = traced["calls"]
+    assert traced["rebuilt"]
     assert traced["records"] == 5  # two convs, the norm, the gate, the loss
+    assert calls.get("autograd.instance_norm.fwd") == 1, calls
+    assert calls.get("autograd.gate.fwd") == 1, calls
     assert calls.get("autograd.gate.vjp") == 1, calls
     assert calls.get("autograd.instance_norm.vjp") == 3, calls  # x, gamma, beta
     for span in ("fwd", "vjp_x", "vjp_kernel", "vjp_bias"):

@@ -7,7 +7,7 @@ is always safe for the gradient step x + alpha * adjoint(y - apply(x)).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,9 +34,10 @@ class LinearOperator:
         """adjoint(apply(x)) on a (2, H, W) plane stack."""
         return self.adjoint(self.apply(x2))
 
-    def residual_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """adjoint(y - apply(x)), the negative data-term gradient at x."""
-        return self.adjoint(y - self.apply(x))
+    def residual(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """r = y - apply(x) and adjoint(r), the negative data-term gradient."""
+        r = y - self.apply(x)
+        return r, self.adjoint(r)
 
 
 def _check(x: np.ndarray, hw: tuple, what: str) -> None:
@@ -62,14 +63,15 @@ class MaskedFourierOperator(LinearOperator):
         _check(y, self.out_shape, "mf_adjoint")
         return ifft2(np.where(self._bits, y, np.float32(0)))
 
-    def residual_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bit for bit adjoint(y - apply(x)), with one complex round trip."""
+    def residual(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The base pair bit for bit (y kept off the mask), in one round trip."""
         _check(x, self.in_shape, "mf_apply")
         _check(y, self.out_shape, "mf_adjoint")
-        f = np.fft.fft2(to_complex(x), norm="ortho")
-        r = np.where(self._bits, to_complex(y) - f, np.complex64(0))
+        r = to_complex(y) - np.where(self._bits, np.fft.fft2(to_complex(x), norm="ortho"),
+                                     np.complex64(0))
         # not out=: numpy 2.4's ifft2 with out= returns wrong values
-        return to_planes(np.fft.ifft2(r, norm="ortho"))
+        back = np.fft.ifft2(np.where(self._bits, r, np.complex64(0)), norm="ortho")
+        return to_planes(r), to_planes(back)
 
 
 class BoxDownsampleOperator(LinearOperator):
@@ -96,7 +98,7 @@ class BoxDownsampleOperator(LinearOperator):
 def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,
                   op: LinearOperator) -> np.ndarray:
     """One data-consistency step: x + alpha * adjoint(y - apply(x))."""
-    return x + np.float32(alpha) * op.residual_adjoint(x, y)
+    return x + np.float32(alpha) * op.residual(x, y)[1]
 
 
 def preconditioned(op: LinearOperator, alpha: float, v: np.ndarray) -> np.ndarray:
@@ -105,36 +107,32 @@ def preconditioned(op: LinearOperator, alpha: float, v: np.ndarray) -> np.ndarra
 
 
 def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
-                           op: LinearOperator, y: np.ndarray,
+                           op: LinearOperator, direction: np.ndarray,
                            tape: Optional[Tape] = None) -> Variable:
-    """Differentiable gradient step, bit for bit :func:`gradient_step`.
+    """Differentiable gradient step x + alpha * direction, where direction
+    is ``op.residual(x, y)[1]``; bit for bit :func:`gradient_step`.
 
     Differentiates through x and, when alpha is a Variable, through the
     step size: the normal operator adjoint(apply(.)) is self-adjoint, so
     the pullback of x is g - alpha * normal(g).
     """
-    alpha_var = alpha if isinstance(alpha, Variable) else None
-    a = float(alpha_var.value) if alpha_var is not None else float(alpha)
-    direction = op.residual_adjoint(x_var.value, y)
+    a = float(alpha.value if isinstance(alpha, Variable) else alpha)
     out = Variable(x_var.value + np.float32(a) * direction)
     if tape is not None:
         pulls = [(x_var, lambda g: preconditioned(op, a, g))]
-        if alpha_var is not None:
-            pulls.append((alpha_var, lambda g: np.float32(
+        if isinstance(alpha, Variable):
+            pulls.append((alpha, lambda g: np.float32(
                 np.sum(g.astype(np.float64) * direction.astype(np.float64)))))
         tape.record(out, pulls)
     return out
 
 
-def data_residual_sq(x_var: Variable, op: LinearOperator, y: np.ndarray,
+def data_residual_sq(x_var: Variable, residual_norm: float, direction: np.ndarray,
                      tape: Optional[Tape] = None) -> Variable:
-    """Differentiable ||y - apply(x)||^2 for the per-iteration consistency cost."""
-    resid = y - op.apply(x_var.value)
-    val = norm(resid) ** 2
-    out = Variable(np.float32(val))
+    """Differentiable ||y - apply(x)||^2 from the ||r|| and direction of ``op.residual(x, y)``."""
+    out = Variable(np.float32(residual_norm ** 2))
     if tape is not None:
-        pull = op.adjoint(resid)
-        tape.record(out, [(x_var, lambda g: np.float32(-2) * pull * g)])
+        tape.record(out, [(x_var, lambda g: np.float32(-2) * direction * g)])
     return out
 
 

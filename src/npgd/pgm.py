@@ -90,20 +90,19 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
     if magic == b"P2":
         try:
-            values = np.array(blob[data_start - 1:].split(), dtype=np.float64)
-        except ValueError:
-            raise CorruptionError(f"{path}: non-numeric P2 sample") from None
-        if values.size != w * h:
-            raise CorruptionError(f"{path}: expected {w * h} samples, got {values.size}")
-        raw = values.reshape(h, w)
+            raw = np.array(blob[data_start - 1:].split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise CorruptionError(f"{path}: non-integer P2 sample") from None
+        if raw.size != w * h:
+            raise CorruptionError(f"{path}: expected {w * h} samples, got {raw.size}")
     else:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        count = w * h
-        payload = blob[data_start:]
-        need = count * (2 if maxval > 255 else 1)
-        if len(payload) < need:
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        if len(blob) - data_start < w * h * dtype.itemsize:
             raise CorruptionError(f"{path}: truncated raster")
-        raw = np.frombuffer(payload[:need], dtype=dtype).reshape(h, w).astype(np.float64)
+        raw = np.frombuffer(blob, dtype, w * h, data_start)
+    if raw.min() < 0 or raw.max() > maxval:
+        raise CorruptionError(f"{path}: samples span [{raw.min()}, {raw.max()}], not [0, {maxval}]")
+    raw = raw.reshape(h, w).astype(np.float64)
     if rng is not None:
         vmin, vmax = rng
         return (vmin + raw / maxval * (vmax - vmin)).astype(np.float32)

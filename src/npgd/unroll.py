@@ -70,33 +70,36 @@ class TrainConfig:
 
 def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
                      iterations: int, alpha: Union[float, Variable],
-                     tape: Optional[Tape] = None) -> List[Variable]:
-    """Run T alternations of gradient step and proximal from x_0 = 0 and
-    return the iterates x_1..x_T.
-
-    With a tape, the whole trajectory is differentiable through the shared
-    weights and alpha.
-    """
+                     tape: Optional[Tape] = None) -> Tuple[List[Variable], list]:
+    """Run T alternations of gradient step and proximal from x_0 = 0; return
+    the iterates x_1..x_T and, per iterate, (||r_t||, adjoint(r_t)) of its
+    data residual r_t = y - apply(x_t), formed once for the next step, the
+    training cost and :func:`reconstruct`. With a tape, the trajectory is
+    differentiable through the shared weights and alpha."""
     x_var = Variable(np.zeros((2,) + tuple(op.in_shape), np.float32))
-    iterates = []
+    direction = op.residual(x_var.value, y)[1]
+    iterates, residuals = [], []
     for _ in range(iterations):
-        x_var = net.forward(gradient_step_channels(x_var, alpha, op, y, tape), tape)
+        x_var = net.forward(gradient_step_channels(x_var, alpha, op, direction, tape), tape)
+        r, direction = op.residual(x_var.value, y)
         iterates.append(x_var)
-    return iterates
+        residuals.append((norm(r), direction))
+        del r  # only its norm is kept
+    return iterates, residuals
 
 
-def loss_p1(iterates: Sequence[Variable], x_true: np.ndarray, y: np.ndarray,
-            op: LinearOperator, beta: float, loss_kind: str = "l2",
+def loss_p1(iterates: Sequence[Variable], residuals: Sequence[Tuple[float, np.ndarray]],
+            x_true: np.ndarray, beta: float, loss_kind: str = "l2",
             tape: Optional[Tape] = None) -> Tuple[Variable, float, float]:
-    """Composite training cost over the iterates x_1..x_T; returns (total,
-    terminal value, consistency value)."""
+    """Composite training cost over :func:`unrolled_forward`'s iterates and
+    residuals; returns (total, terminal value, consistency value)."""
     if loss_kind == "l1":
         terminal = ag.smooth_l1_loss(iterates[-1], x_true, tape=tape)
     else:
         terminal = ag.mse_loss(iterates[-1], x_true, tape=tape)
     consistency = None
-    for xv in iterates:
-        r = data_residual_sq(xv, op, y, tape)
+    for xv, (residual_norm, direction) in zip(iterates, residuals):
+        r = data_residual_sq(xv, residual_norm, direction, tape)
         consistency = r if consistency is None else ag.add(consistency, r, tape)
     total = ag.add(ag.scale(terminal, beta, tape),
                    ag.scale(consistency, 1.0 - beta, tape), tape)
@@ -207,11 +210,11 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
             tot = term = cons = 0.0
             for i in batch:
                 tape = Tape()
-                iterates = unrolled_forward(net, op, measurements[i],
-                                            unroll_cfg.iterations, alpha_var, tape)
-                total, term_v, cons_v = loss_p1(iterates, dataset[i], measurements[i],
-                                                op, unroll_cfg.beta,
-                                                unroll_cfg.loss, tape)
+                # left unbound, so backward frees each direction as it consumes the tape
+                total, term_v, cons_v = loss_p1(
+                    *unrolled_forward(net, op, measurements[i], unroll_cfg.iterations,
+                                      alpha_var, tape),
+                    dataset[i], unroll_cfg.beta, unroll_cfg.loss, tape)
                 if not np.isfinite(float(total.value)):
                     raise NumericsError(f"non-finite loss at step {step} on training "
                                         f"image {i} (lr={lr:.3g})")
@@ -264,5 +267,5 @@ def write_trace_csv(rows: Sequence[tuple], path) -> None:
 def reconstruct(net: ProximalNet, alpha: float, op: LinearOperator,
                 y: np.ndarray, iterations: int) -> Tuple[np.ndarray, List[float]]:
     """Inference pass; returns x_T and the per-iteration residuals ||y - apply(x_t)||."""
-    iterates = unrolled_forward(net, op, y, iterations, alpha)
-    return iterates[-1].value, [norm(y - op.apply(x.value)) for x in iterates]
+    iterates, residuals = unrolled_forward(net, op, y, iterations, alpha)
+    return iterates[-1].value, [residual_norm for residual_norm, _ in residuals]

@@ -816,7 +816,7 @@ def test_taped_resnet_sample_peak_memory():
     tracemalloc.start()
     try:
         tape = Tape()
-        total, _, _ = loss_p1(unrolled_forward(net, op, y, 3, alpha, tape), x_true, y, op,
+        total, _, _ = loss_p1(*unrolled_forward(net, op, y, 3, alpha, tape), x_true,
                               beta=0.75, tape=tape)
         backward(tape, total)
         peak = tracemalloc.get_traced_memory()[1]
@@ -968,7 +968,7 @@ def _sample_grads(cfg):
     net = build(ProximalConfig(feature_maps=8, **cfg), seed=7, zero_init_output=False)
     alpha = Variable(np.array(1.0, np.float32))
     tape = Tape()
-    total, _, _ = loss_p1(unrolled_forward(net, op, y, 3, alpha, tape), x_true, y, op,
+    total, _, _ = loss_p1(*unrolled_forward(net, op, y, 3, alpha, tape), x_true,
                           beta=0.75, tape=tape)
     backward(tape, total)
     return {name: var.grad.tobytes() for name, var in [*net.params.items(), ("alpha", alpha)]}

@@ -239,6 +239,23 @@ def test_pgm_8bit_range_comment_decodes_by_maxval(tmp_path, blob):
     assert read_pgm(path).tolist() == [[0.0, np.float32(128 / 255), 1.0]]
 
 
+@pytest.mark.parametrize("blob", [
+    b"P2\n4 1\n255\n1 -2 3.5 999\n",
+    b"P2\n2 1\n255\n1 -2\n",
+    b"P2\n2 1\n255\n1 999\n",
+    b"P5\n1 1\n1000\n\xff\xff",
+], ids=["p2-not-integer", "p2-negative", "p2-above-maxval", "p5-above-maxval"])
+def test_pgm_rejects_samples_a_pgm_cannot_hold(tmp_path, blob):
+    from npgd.errors import CorruptionError
+    path = tmp_path / "s.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptionError, match="s.pgm"):
+        read_pgm(path)
+    # the extremes 0 and maxval themselves decode
+    path.write_bytes(b"P5\n2 1\n1000\n\x03\xe8\x00\x00")
+    assert read_pgm(path).tolist() == [[1.0, 0.0]]
+
+
 def test_pgm_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P7\n1 1\n255\n\x00")
@@ -657,7 +674,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     op, _ = build_operator(cfg)
     for i, x_true in enumerate(test_set):
         y = op.apply(x_true)
-        x_t = unrolled_forward(net, op, y, 3, alpha)[-1].value
+        x_t = unrolled_forward(net, op, y, 3, alpha)[0][-1].value
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
         res = debias(net, masks, op, alpha, y, x_t)
         assert lines[1 + i] == (
@@ -813,6 +830,22 @@ def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
     err = capsys.readouterr().err
     assert err.startswith("npgd: error:") and err.count("\n") == 1
     assert "img.pgm" in err and "Traceback" not in err
+
+
+def test_train_on_a_pgm_sample_above_maxval_exits_1(tmp_path, capsys):
+    # next to three good images, one whose sample 999 a maxval of 255 cannot hold
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("a.pgm", "b.pgm", "c.pgm"):
+        write_pgm16(data / name, np.random.default_rng(len(name)).uniform(0, 1, (16, 16)))
+    (data / "img.pgm").write_bytes(b"P2\n2 1\n255\n1 999\n")
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"data_dir = {data}\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert "img.pgm" in err and "999" in err and "Traceback" not in err
+    assert not (out / "checkpoint.npgd").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

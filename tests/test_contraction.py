@@ -422,7 +422,7 @@ def test_analyze_returns_final_iterate_and_its_masks():
     x = random_complex_image(16, 16, seed=56)
     y = op.apply(x)
     traces, _ = analyze_trajectory(net, 0.5, op, [(x, y)], 3)
-    x_final = unrolled_forward(net, op, y, 3, 0.5)[-1].value
+    x_final = unrolled_forward(net, op, y, 3, 0.5)[0][-1].value
     masks = capture_masks(net, gradient_step(x_final, y, 0.5, op))
     assert np.array_equal(traces[0].x_final, x_final)
     for got, want in zip(traces[0].masks_final.masks, masks.masks):
@@ -434,7 +434,7 @@ def _separate_forwards_analyze(net, alpha, op, x_star, y, iterations):
     unrolled forward, capture_masks per state, forward(x_*) - x_* for xi and
     a separate extra forward past x_T. Every state is gradient_step of the
     previous iterate."""
-    xs = [x.value for x in unrolled_forward(net, op, y, iterations, alpha)]
+    xs = [x.value for x in unrolled_forward(net, op, y, iterations, alpha)[0]]
     m_star = FrozenAffineMap(net, capture_masks(net, x_star))
     xi = net.forward(x_star).value - x_star
     s_states = [gradient_step(x, y, alpha, op) for x in xs]

@@ -189,7 +189,7 @@ def test_gradient_step_channels_matches_plain():
         y = op.apply(random_complex_image(16, 16, seed=11))
         plain = gradient_step(x, y, 0.8, op).tobytes()
         for alpha in (0.8, Variable(np.array(0.8, np.float32))):
-            taped = gradient_step_channels(Variable(x), alpha, op, y, Tape())
+            taped = gradient_step_channels(Variable(x), alpha, op, op.residual(x, y)[1], Tape())
             assert taped.value.tobytes() == plain
 
 
@@ -200,14 +200,15 @@ def test_gradient_step_channels_alpha_gradient():
     x2 = random_complex_image(16, 16, seed=12)
     y = op.apply(random_complex_image(16, 16, seed=13))
     cot = np.random.default_rng(14).standard_normal(x2.shape).astype(np.float32)
+    direction = op.residual(x2, y)[1]
 
     def value(a):
-        out = gradient_step_channels(Variable(x2), a, op, y)
+        out = gradient_step_channels(Variable(x2), a, op, direction)
         return float(np.sum((out.value.astype(np.float64) + cot) ** 2))
 
     alpha = Variable(np.array(0.9, np.float32))
     tape = Tape()
-    out = gradient_step_channels(Variable(x2), alpha, op, y, tape)
+    out = gradient_step_channels(Variable(x2), alpha, op, direction, tape)
     loss = ag.sum_squares(ag.add(out, Variable(cot), tape), tape)
     backward(tape, loss)
     h = 1e-3
@@ -221,7 +222,8 @@ def test_data_residual_sq_value_and_gradient():
     y = op.apply(random_complex_image(16, 16, seed=16))
     xv = Variable(x)
     tape = Tape()
-    r = data_residual_sq(xv, op, y, tape)
+    resid, direction = op.residual(x, y)
+    r = data_residual_sq(xv, norm(resid), direction, tape)
     assert float(r.value) == pytest.approx(norm(y - op.apply(x)) ** 2, rel=1e-5)
     backward(tape, r)
     # analytic gradient is -2 adjoint(y - apply(x))
@@ -256,8 +258,8 @@ def test_operators_reject_bad_stack_shapes(op):
 
 
 def _two_pass_fft(x, transform):
-    """The unitary FFT as packed, transformed and unpacked before
-    residual_adjoint existed."""
+    """The unitary FFT as packed, transformed and unpacked before the
+    operators' one-round-trip residual existed."""
     z = np.empty(x.shape[:-3] + x.shape[-2:], np.complex64)
     z.real = x[..., 0, :, :]
     z.imag = x[..., 1, :, :]
@@ -290,8 +292,9 @@ def test_residual_adjoint_bit_equal_to_two_passes(task, hw, n):
     # y is nonzero off the mask too, as a noisy measurement is
     y = rng.standard_normal(lead + (2,) + op.out_shape).astype(np.float32)
     want = _two_pass_residual_adjoint(op, x, y)
-    got = op.residual_adjoint(x, y)
+    resid, got = op.residual(x, y)
     assert got.dtype == np.float32 and got.shape == x.shape
     assert np.array_equal(got, want)
     assert np.array_equal(got, op.adjoint(y - op.apply(x)))
+    assert resid.dtype == np.float32 and np.array_equal(resid, y - op.apply(x))
     assert np.array_equal(gradient_step(x, y, 0.7, op), x + np.float32(0.7) * want)

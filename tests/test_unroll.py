@@ -5,7 +5,7 @@ from npgd import autograd as ag
 from npgd.autograd import Tape, Variable, backward
 from npgd.core import norm
 from npgd.errors import NumericsError, ParameterError
-from npgd.operators import MaskedFourierOperator, gradient_step
+from npgd.operators import BoxDownsampleOperator, MaskedFourierOperator, gradient_step
 from npgd.phantoms import generate_dataset
 from npgd.proxnet import ProximalConfig, build
 from npgd.sampling import generate_vardens_mask
@@ -24,7 +24,7 @@ def test_t1_is_proximal_of_scaled_zero_fill():
     op = _op(seed=2)
     y = op.apply(random_complex_image(16, 16, seed=3))
     alpha = 0.8
-    x_1 = unrolled_forward(net, op, y, 1, alpha)[-1].value
+    x_1 = unrolled_forward(net, op, y, 1, alpha)[0][-1].value
     expected = net.forward(alpha * op.adjoint(y)).value
     assert np.allclose(x_1, expected, atol=1e-6)
 
@@ -34,7 +34,7 @@ def test_identity_proximal_reproduces_plain_landweber():
     op = _op(seed=4)
     y = op.apply(random_complex_image(16, 16, seed=5))
     alpha = 0.9
-    iterates = unrolled_forward(net, op, y, 5, alpha)
+    iterates, _ = unrolled_forward(net, op, y, 5, alpha)
     # independent re-implementation of the bare iteration
     x = np.zeros((2, 16, 16), np.float32)
     for t in range(5):
@@ -47,7 +47,7 @@ def test_identity_proximal_fixed_point_convergence():
     op = _op(seed=6)
     x_star = random_complex_image(16, 16, seed=7)
     y = op.apply(x_star)
-    xs = [x.value for x in unrolled_forward(net, op, y, 8, 1.0)]
+    xs = [x.value for x in unrolled_forward(net, op, y, 8, 1.0)[0]]
     residuals = [norm(y - op.apply(x)) for x in xs]
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-6
@@ -59,8 +59,8 @@ def test_trajectory_prefix_property():
     net = build(ProximalConfig(feature_maps=4), seed=8, zero_init_output=False)
     op = _op(seed=9)
     y = op.apply(random_complex_image(16, 16, seed=10))
-    short = unrolled_forward(net, op, y, 2, 1.0)
-    long = unrolled_forward(net, op, y, 5, 1.0)
+    short, _ = unrolled_forward(net, op, y, 2, 1.0)
+    long, _ = unrolled_forward(net, op, y, 5, 1.0)
     for t in range(2):
         assert np.array_equal(short[t].value, long[t].value)
 
@@ -71,8 +71,8 @@ def test_loss_p1_beta_one_is_terminal_only():
     x_true = random_complex_image(16, 16, seed=13)
     y = op.apply(x_true)
     tape = Tape()
-    iterates = unrolled_forward(net, op, y, 3, 1.0, tape)
-    total, term, cons = loss_p1(iterates, x_true, y, op, beta=1.0, tape=tape)
+    total, term, cons = loss_p1(*unrolled_forward(net, op, y, 3, 1.0, tape), x_true,
+                                beta=1.0, tape=tape)
     assert float(total.value) == pytest.approx(term, rel=1e-6)
     assert cons > 0.0  # untrained iterates are inconsistent, the term just gets zero weight
 
@@ -83,7 +83,9 @@ def test_loss_p1_perfect_trajectory_is_zero():
     y = op.apply(x_true)
     tape = Tape()
     perfect = [Variable(x_true) for _ in range(3)]
-    total, term, cons = loss_p1(perfect, x_true, y, op, beta=0.75, tape=tape)
+    r, direction = op.residual(x_true, y)
+    total, term, cons = loss_p1(perfect, [(norm(r), direction)] * 3, x_true, beta=0.75,
+                                tape=tape)
     assert float(total.value) == pytest.approx(0.0, abs=1e-8)
     assert term == pytest.approx(0.0, abs=1e-9)
     assert cons == pytest.approx(0.0, abs=1e-8)
@@ -95,8 +97,8 @@ def test_loss_p1_beta_zero_matches_hand_computation():
     x_true = random_complex_image(16, 16, seed=18)
     y = op.apply(x_true)
     tape = Tape()
-    iterates = unrolled_forward(net, op, y, 2, 1.0, tape)
-    total, _, _ = loss_p1(iterates, x_true, y, op, beta=0.0, tape=tape)
+    iterates, residuals = unrolled_forward(net, op, y, 2, 1.0, tape)
+    total, _, _ = loss_p1(iterates, residuals, x_true, beta=0.0, tape=tape)
     byhand = sum(norm(y - op.apply(x.value)) ** 2 for x in iterates)
     assert float(total.value) == pytest.approx(byhand, rel=1e-5)
 
@@ -106,9 +108,8 @@ def test_consistency_term_nonnegative():
     op = _op(seed=20)
     y = op.apply(random_complex_image(16, 16, seed=21))
     tape = Tape()
-    iterates = unrolled_forward(net, op, y, 3, 1.0, tape)
-    _, _, cons = loss_p1(iterates, random_complex_image(16, 16, seed=22), y, op,
-                         beta=0.5, tape=tape)
+    _, _, cons = loss_p1(*unrolled_forward(net, op, y, 3, 1.0, tape),
+                         random_complex_image(16, 16, seed=22), beta=0.5, tape=tape)
     assert cons >= 0.0
 
 
@@ -189,6 +190,49 @@ def test_reconstruct_deterministic_and_zero_input():
     assert norm(x0) == 0.0
 
 
+@pytest.mark.parametrize("op", [_op(seed=44), BoxDownsampleOperator(16, 16)],
+                         ids=["fourier", "box"])
+def test_reconstruct_residuals_are_the_plain_formula(op):
+    # the residuals the loop hands on are ||y - apply(x_t)||, bit for bit,
+    # also for a y that is nonzero off the mask, as a noisy measurement is
+    net = build(ProximalConfig(feature_maps=4), seed=45, zero_init_output=False)
+    y = random_complex_image(*op.out_shape, seed=46)
+    x_t, residuals = reconstruct(net, 0.9, op, y, 4)
+    iterates, _ = unrolled_forward(net, op, y, 4, 0.9)
+    assert np.array_equal(x_t, iterates[-1].value)
+    assert residuals == [norm(y - op.apply(x.value)) for x in iterates]
+
+
+def _count_ffts(monkeypatch):
+    calls = []
+    for name in ("fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_fft_budget_forms_each_residual_once(monkeypatch):
+    # 16^2 masked Fourier at T = 10: one round trip per residual of x_0..x_T
+    # (22 FFTs), plus one normal map per step in backward (20); the loss and
+    # reconstruct transform nothing again
+    net = build(ProximalConfig(feature_maps=4), seed=47, zero_init_output=False)
+    op = _op(seed=48)
+    x_true = random_complex_image(16, 16, seed=49)
+    y = op.apply(x_true)
+    alpha = Variable(np.array(1.0, np.float32))
+    calls = _count_ffts(monkeypatch)
+    tape = Tape()
+    total, _, _ = loss_p1(*unrolled_forward(net, op, y, 10, alpha, tape), x_true,
+                          beta=0.75, tape=tape)
+    backward(tape, total)
+    assert len(calls) == 42
+    calls.clear()
+    reconstruct(net, 1.0, op, y, 10)
+    assert len(calls) == 22
+
+
 def test_unrolled_loss_gradient_matches_finite_differences():
     # tiny instance: 8x8 image, T=2, 1 RB, 4 feature maps
     imgs = generate_dataset(1, 8, seed=40)
@@ -201,8 +245,8 @@ def test_unrolled_loss_gradient_matches_finite_differences():
 
     def loss_value():
         tape = Tape()
-        iterates = unrolled_forward(net, op, y, 2, alpha, tape)
-        total, _, _ = loss_p1(iterates, x_true, y, op, beta=0.75, tape=tape)
+        iterates, residuals = unrolled_forward(net, op, y, 2, alpha, tape)
+        total, _, _ = loss_p1(iterates, residuals, x_true, beta=0.75, tape=tape)
         return tape, total
 
     tape, total = loss_value()

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, one PASS line each.
 
 Criteria 4, 5, and 7 train real desk-scale models; the whole module took
-397 s single-threaded at commit HASH, 386 s of it in criterion 4
+418 s single-threaded at commit 262c84e, 411 s of it in criterion 4
 (2-vCPU Xeon, one run). Run with `pytest -v -s
 tests/test_acceptance.py` to watch the per-criterion lines. Every test
 here carries the ``acceptance`` marker, so `pytest -m "not acceptance"`

@@ -28,15 +28,15 @@ from .operators import LinearOperator, gradient_step, power_iteration
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsConfig:
     lam: float = 0.01
     iterations: int = 300
     solver: str = "fista"
     levels: int = 3
 
-    def validate(self) -> None:
-        if self.lam < 0:
+    def __post_init__(self) -> None:
+        if not self.lam >= 0:
             raise ParameterError("lambda must be >= 0")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
@@ -150,7 +150,6 @@ def _prox_step(x: np.ndarray, y: np.ndarray, op: LinearOperator,
 def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
            lams: Optional[Sequence[float]], momentum: bool):
     """The one proximal-gradient loop behind ista (momentum off) and fista."""
-    cfg.validate()
     stack = np.ndim(y) == 4
     ys = y if stack else y[None]
     lams = np.full(len(ys), float(cfg.lam)) if lams is None else np.array(lams, np.float64)

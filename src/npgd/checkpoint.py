@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import CorruptionError, FormatError, NumericsError, ParameterError
 from .proxnet import ProximalConfig, ProximalNet, build
+from .unroll import TrainConfig, TrainResult
 
 MAGIC = b"NPGD"
 VERSION = 1
@@ -52,6 +53,18 @@ class Checkpoint:
     adam_step: int = 0
     seed: int = 0
     epoch: int = 0
+
+
+def from_training(result: TrainResult, cfg: TrainConfig) -> Checkpoint:
+    """The checkpoint of a finished run: its weights, step size and Adam
+    state, with the run entries (unroll_t, beta, loss, seed) of cfg."""
+    return Checkpoint(
+        prox=result.net.config, unroll_t=cfg.iterations, beta=cfg.beta, loss=cfg.loss,
+        alpha=float(result.alpha.value),
+        params={k: v.value.copy() for k, v in result.net.params.items()},
+        adam_m={k: v.copy() for k, v in result.optimizer.m.items()},
+        adam_v={k: v.copy() for k, v in result.optimizer.v.items()},
+        adam_step=result.optimizer.step_count, seed=cfg.seed, epoch=result.epochs_run)
 
 
 # the config entries, in file order, are the proximal config's fields, then these
@@ -192,15 +205,14 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
         if meta[key][0] != _TAGS[tp]:
             raise FormatError(f"{origin}: config entry {key!r} is not {tp.__name__}")
     values = {key: meta[key][1] for key in _ENTRY_TYPES}
-    prox = ProximalConfig(**{f.name: values[f.name] for f in fields(ProximalConfig)})
-    ck = Checkpoint(prox=prox, alpha=float(alpha), params=params, adam_m=adam_m,
-                    adam_v=adam_v, **{k: values[k] for k in _RUN_KEYS})
-    from .unroll import UnrollConfig  # unroll imports this module
-    try:
-        UnrollConfig(iterations=ck.unroll_t, beta=ck.beta, loss=ck.loss).validate()
+    try:  # the config classes check the stored ranges
+        prox = ProximalConfig(**{f.name: values[f.name] for f in fields(ProximalConfig)})
+        TrainConfig(iterations=values["unroll_t"], beta=values["beta"],
+                    loss=values["loss"], seed=values["seed"])
     except ParameterError as exc:
         raise FormatError(f"{origin}: {exc}") from None
-    return ck
+    return Checkpoint(prox=prox, alpha=float(alpha), params=params, adam_m=adam_m,
+                      adam_v=adam_v, **{k: values[k] for k in _RUN_KEYS})
 
 
 def save(ck: Checkpoint, path) -> None:

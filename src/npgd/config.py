@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration.
 
 One ``key = value`` pair per line, ``#`` comments, no sections. Unknown
-keys are rejected and the whole file is validated before any compute
-starts. The documented key list lives in the README.
+keys are rejected. Every config class checks its ranges when it is
+constructed, so a parsed file is in range before any compute starts. The
+documented key list lives in the README.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .baselines import CsConfig
+from .core import check_finite_float32
 from .errors import ConfigError, ParameterError
 from .proxnet import ProximalConfig
 from .sampling import mask_quota
-from .unroll import TrainConfig, UnrollConfig
+from .unroll import TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -35,7 +37,7 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     task: str = "mri"
     image_size: int = 64
@@ -76,25 +78,19 @@ class ExperimentConfig:
     out_dir: str = "out"
     threads: int = 1
 
-    def resolved_alpha_init(self) -> float:
-        if self.alpha_init is not None:
-            return self.alpha_init
-        # projection spectrum {0,1} makes alpha=1 exact for masked Fourier;
-        # the box operator's normal map has top eigenvalue 1/4, so the
-        # spectral step 4 replaces the measured component in one go
-        return 1.0 if self.task == "mri" else 4.0
-
     def prox_config(self) -> ProximalConfig:
         return ProximalConfig(**{f.name: getattr(self, f.name)
                                  for f in fields(ProximalConfig)})
 
-    def unroll_config(self) -> UnrollConfig:
-        return UnrollConfig(iterations=self.unroll_t,
-                            alpha_init=self.resolved_alpha_init(),
-                            beta=self.beta, loss=self.loss)
-
     def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, lr_halve_every=self.lr_halve_every,
+        # projection spectrum {0,1} makes alpha=1 exact for masked Fourier;
+        # the box operator's normal map has top eigenvalue 1/4, so the
+        # spectral step 4 replaces the measured component in one go
+        alpha = self.alpha_init
+        if alpha is None:
+            alpha = 1.0 if self.task == "mri" else 4.0
+        return TrainConfig(iterations=self.unroll_t, alpha_init=alpha, beta=self.beta,
+                           loss=self.loss, lr=self.lr, lr_halve_every=self.lr_halve_every,
                            batch_size=self.batch_size, epochs=self.epochs,
                            seed=self.train_seed)
 
@@ -104,7 +100,7 @@ class ExperimentConfig:
         return CsConfig(lam=self.cs_lambda or 1.0, iterations=self.cs_iterations,
                         solver=self.cs_solver, levels=self.cs_levels)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Range checks that no sub-config owns, then each sub-config's own."""
         if self.task not in ("mri", "sr"):
             raise ConfigError(f"task must be mri or sr, got {self.task!r}")
@@ -120,9 +116,9 @@ class ExperimentConfig:
                               f"data_num ({self.data_num})")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
-        for key in ("data_seed", "train_seed"):  # numpy takes no negative seed
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
+        check_finite_float32(self.noise_std, "noise_std")  # the noise is float32
+        if self.data_seed < 0:  # numpy takes no negative seed
+            raise ConfigError("data_seed must be >= 0")
         if self.task == "mri":
             try:
                 mask_quota(n, n, self.mask_rate, self.mask_center_fraction,
@@ -137,13 +133,16 @@ class ExperimentConfig:
             raise ConfigError("cs_lambda must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        parse_sweep_grid(self.sweep_grid)
-        try:
-            for sub in (self.prox_config(), self.unroll_config(), self.train_config(),
-                        self.cs_config()):
-                sub.validate()
-        except ParameterError as exc:
-            raise ConfigError(f"{type(sub).__name__}: {exc}") from None
+        cells = parse_sweep_grid(self.sweep_grid)
+        if self.arch == "chain" and any(rb != 1 for _, rb in cells):
+            raise ConfigError(f"sweep_grid {self.sweep_grid!r}: a chain has no "
+                              f"residual blocks, so every cell's RB must be 1")
+        for cls, make in ((ProximalConfig, self.prox_config),
+                          (TrainConfig, self.train_config), (CsConfig, self.cs_config)):
+            try:
+                make()
+            except ParameterError as exc:
+                raise ConfigError(f"{cls.__name__}: {exc}") from None
         if self.cs_levels >= n.bit_length():  # each Haar level halves the image
             raise ConfigError(f"image_size {n} is not divisible by 2^cs_levels "
                               f"= 2^{self.cs_levels}")
@@ -181,14 +180,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value {raw!r} for {key!r}") from None
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not a UTF-8 text file") from None

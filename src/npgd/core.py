@@ -17,12 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError
+from .errors import DimensionError, ParameterError, ShapeError
 
 
 def check_power_of_two(n: int, axis: str) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise DimensionError(f"size {n} along {axis} is not a power of two")
+
+
+def check_finite_float32(value: float, name: str) -> None:
+    """Raise ParameterError unless value stays finite cast to float32."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(value)):
+            raise ParameterError(f"{name} {value} is not finite in float32")
 
 
 def _check_planes(x: np.ndarray, what: str) -> None:

@@ -245,11 +245,11 @@ def run_gendata(cfg: ExperimentConfig, out_dir: str, log) -> None:
 def run_train(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, _, op = _setup(cfg)
-    unroll_cfg = cfg.unroll_config()
-    result = train(train_set, op, unroll_cfg, cfg.train_config(), cfg.prox_config(),
+    train_cfg = cfg.train_config()
+    result = train(train_set, op, train_cfg, cfg.prox_config(),
                    _measure(cfg, op, train_set, TRAIN), log=log)
     ckpt_path = os.path.join(out_dir, "checkpoint.npgd")
-    ckpt_io.save(result.to_checkpoint(unroll_cfg, cfg.train_seed), ckpt_path)
+    ckpt_io.save(ckpt_io.from_training(result, train_cfg), ckpt_path)
     write_trace_csv(result.trace, os.path.join(out_dir, "loss_trace.csv"))
     log(f"trained in {result.seconds:.1f}s, final loss {result.trace[-1][3]:.6g}")
     log(f"checkpoint: {ckpt_path}")
@@ -292,7 +292,8 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
         ys_val = _measure(cfg, op, val, VALIDATION)
         grid = default_lambda_grid(ys_val, op, cfg.cs_levels, points=cfg.cs_grid_points)
-        cs.lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
+        lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
+        cs = replace(cs, lam=lam)
         log(f"tuned lambda = {cs.lam:.6g}")
     solve = fista if cs.solver == "fista" else ista
     # the held-out set is one batch; threads does not apply
@@ -337,12 +338,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log) -> None:
     train_set, test_set, op = _setup(cfg)
     ys_train = _measure(cfg, op, train_set, TRAIN)
     test_pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
-    prox_cfg, unroll_cfg = cfg.prox_config(), cfg.unroll_config()
+    prox_cfg, train_cfg = cfg.prox_config(), cfg.train_config()
     rows = []
     for t, rb in cells:
-        result = train(train_set, op, replace(unroll_cfg, iterations=t),
-                       cfg.train_config(), replace(prox_cfg, num_res_blocks=rb),
-                       ys_train, log=log)
+        result = train(train_set, op, replace(train_cfg, iterations=t),
+                       replace(prox_cfg, num_res_blocks=rb), ys_train, log=log)
         solved, infer_seconds = _reconstruct_all(result.net, float(result.alpha.value), op,
                                                  t, test_pairs, cfg.threads)
         eval_rows, _ = _evaluate(op, test_pairs, [xhat for xhat, _ in solved])

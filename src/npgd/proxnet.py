@@ -42,7 +42,7 @@ class ProximalConfig:
     activation: str = "relu"
     normalization: str = "instance"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.activation not in ACTIVATIONS:
@@ -170,7 +170,6 @@ def build(config: ProximalConfig, seed: int = 0,
     begins as the zero map; composed over many unrolled iterations a
     fully random stack blows the trajectory up before training can react.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     params: Dict[str, Variable] = {}
 

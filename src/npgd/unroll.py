@@ -22,47 +22,43 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Variable, backward
-from .core import norm
-from .checkpoint import Checkpoint
+from .core import check_finite_float32, norm
 from .errors import NumericsError, ParameterError
 from .operators import LinearOperator, data_residual_sq, gradient_step_channels
 from .proxnet import ProximalConfig, ProximalNet, build
 
 
-@dataclass
-class UnrollConfig:
+@dataclass(frozen=True)
+class TrainConfig:
+    """One training run: the unrolled recursion (T, initial step size,
+    cost weight beta, loss) and its Adam schedule. Ranges are checked at
+    construction, so every instance is in range, ``replace``'s included."""
+
     iterations: int = 10
     alpha_init: float = 1.0
     beta: float = 0.75
     loss: str = "l2"
-
-    def validate(self) -> None:
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ParameterError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.alpha_init <= 0:
-            raise ParameterError("alpha_init must be positive")
-        if self.loss not in ("l2", "l1"):
-            raise ParameterError(f"loss must be l2 or l1, got {self.loss!r}")
-
-
-@dataclass
-class TrainConfig:
     lr: float = 1e-3
     lr_halve_every: int = 10000
     batch_size: int = 2
     epochs: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
-        for name in ("lr", "lr_halve_every", "batch_size", "epochs"):
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise ParameterError("iterations must be >= 1")
+        if not (0.0 <= self.beta <= 1.0):
+            raise ParameterError(f"beta must lie in [0, 1], got {self.beta}")
+        if self.loss not in ("l2", "l1"):
+            raise ParameterError(f"loss must be l2 or l1, got {self.loss!r}")
+        for name in ("alpha_init", "lr", "lr_halve_every", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
-        # Adam casts lr to float32, which turns a larger value into inf
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.float32(self.lr)):
-                raise ParameterError(f"lr {self.lr} is not finite in float32")
+        # alpha and Adam's lr are float32, which turns a larger value into inf
+        check_finite_float32(self.alpha_init, "alpha_init")
+        check_finite_float32(self.lr, "lr")
+        if self.seed < 0:  # numpy takes no negative seed
+            raise ParameterError("seed must be >= 0")
 
     def lr_at(self, step: int) -> float:
         return self.lr * 0.5 ** (step // self.lr_halve_every)
@@ -158,16 +154,6 @@ class TrainResult:
     epochs_run: int = 0
     seconds: float = 0.0
 
-    def to_checkpoint(self, unroll: UnrollConfig, seed: int) -> Checkpoint:
-        params = {k: v.value.copy() for k, v in self.net.params.items()}
-        return Checkpoint(
-            prox=self.net.config, unroll_t=unroll.iterations, beta=unroll.beta,
-            loss=unroll.loss, alpha=float(self.alpha.value),
-            params=params,
-            adam_m={k: v.copy() for k, v in self.optimizer.m.items()},
-            adam_v={k: v.copy() for k, v in self.optimizer.v.items()},
-            adam_step=self.optimizer.step_count, seed=seed, epoch=self.epochs_run)
-
 
 def _first_nonfinite(arrays: Dict[str, Optional[np.ndarray]]) -> Optional[str]:
     """Name of the first array holding a NaN or infinity, else None."""
@@ -179,8 +165,8 @@ def _first_nonfinite(arrays: Dict[str, Optional[np.ndarray]]) -> Optional[str]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Sequence[np.ndarray], op: LinearOperator,
-          unroll_cfg: UnrollConfig, train_cfg: TrainConfig,
-          prox_cfg: ProximalConfig, measurements: Sequence[np.ndarray],
+          train_cfg: TrainConfig, prox_cfg: ProximalConfig,
+          measurements: Sequence[np.ndarray],
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
     """Mini-batch Adam over the composite cost, from a freshly built net.
 
@@ -189,12 +175,10 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
     diagnostic on a non-finite loss, gradient, parameter or step size;
     numpy's overflow warnings on the way there are silenced.
     """
-    unroll_cfg.validate()
-    train_cfg.validate()
     if len(dataset) == 0:
         raise ParameterError("training dataset is empty")
     net = build(prox_cfg, seed=train_cfg.seed)
-    alpha_var = Variable(np.float32(unroll_cfg.alpha_init))
+    alpha_var = Variable(np.float32(train_cfg.alpha_init))
     optimizer = Adam(net.params, alpha_var)
     result = TrainResult(net, alpha_var, optimizer)
     order_rng = np.random.default_rng(train_cfg.seed)
@@ -212,9 +196,9 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
                 tape = Tape()
                 # left unbound, so backward frees each direction as it consumes the tape
                 total, term_v, cons_v = loss_p1(
-                    *unrolled_forward(net, op, measurements[i], unroll_cfg.iterations,
+                    *unrolled_forward(net, op, measurements[i], train_cfg.iterations,
                                       alpha_var, tape),
-                    dataset[i], unroll_cfg.beta, unroll_cfg.loss, tape)
+                    dataset[i], train_cfg.beta, train_cfg.loss, tape)
                 if not np.isfinite(float(total.value)):
                     raise NumericsError(f"non-finite loss at step {step} on training "
                                         f"image {i} (lr={lr:.3g})")

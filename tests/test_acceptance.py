@@ -9,6 +9,7 @@ runs the rest of the suite in seconds.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from npgd import autograd as ag
 from npgd.autograd import Tape, Variable, backward
 from npgd.baselines import (CsConfig, default_lambda_grid, fista, haar2_forward,
                             haar2_inverse, ista, soft_threshold, tune_lambda)
-from npgd.checkpoint import deserialize, serialize
+from npgd.checkpoint import deserialize, from_training, serialize
 from npgd.contraction import analyze_trajectory, debias
 from npgd.core import dot, fft2, ifft2, norm
 from npgd.errors import CorruptionError
@@ -27,8 +28,8 @@ from npgd.operators import (BoxDownsampleOperator, MaskedFourierOperator,
 from npgd.phantoms import generate_dataset
 from npgd.proxnet import ProximalConfig, build, capture_masks
 from npgd.sampling import generate_vardens_mask
-from npgd.unroll import (TrainConfig, UnrollConfig, loss_p1, reconstruct, train,
-                         unrolled_forward, write_trace_csv)
+from npgd.unroll import (TrainConfig, loss_p1, reconstruct, train, unrolled_forward,
+                         write_trace_csv)
 
 from conftest import random_complex_image
 
@@ -274,23 +275,22 @@ def mri_bundle():
     cs = CsConfig(iterations=300, solver="fista", levels=4)
     grid = default_lambda_grid(ys_val, op, 4)
     best_lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
-    cs.lam = best_lam
+    cs = replace(cs, lam=best_lam)
     fista_snr = float(np.mean([snr_db(fista(y, op, cs)[0], x)
                                for x, y in zip(test_set, ys_test)]))
 
     prox = ProximalConfig(arch="resnet", num_res_blocks=1, feature_maps=32,
                           activation="relu", normalization="instance")
     ys_train = [op.apply(x) for x in train_set]
-    main = train(train_set, op, UnrollConfig(iterations=10),
-                 TrainConfig(lr=1e-3, lr_halve_every=400, epochs=8,
+    main = train(train_set, op,
+                 TrainConfig(iterations=10, lr=1e-3, lr_halve_every=400, epochs=8,
                              batch_size=2, seed=3), prox, ys_train)
 
     sweep = {}
     for t_cells in (1, 3):
         sweep[t_cells] = train(train_set, op,
-                               UnrollConfig(iterations=t_cells),
-                               TrainConfig(lr=1e-3, lr_halve_every=400, epochs=4,
-                                           batch_size=2, seed=3), prox, ys_train)
+                               TrainConfig(iterations=t_cells, lr=1e-3, lr_halve_every=400,
+                                           epochs=4, batch_size=2, seed=3), prox, ys_train)
     return {"op": op, "test": test_set, "ys": ys_test, "fista_snr": fista_snr,
             "main": main, "sweep": sweep, "seconds": time.perf_counter() - t0,
             "t0": t0}
@@ -334,9 +334,8 @@ def sr_bundle():
     prox = ProximalConfig(arch="chain", chain_layers=3, chain_kernel=5,
                           feature_maps=4, activation="swish", normalization="none")
     result = train(train_set, op,
-                   UnrollConfig(iterations=10, alpha_init=4.0, beta=0.25),
-                   TrainConfig(lr=3e-4, lr_halve_every=300, epochs=6,
-                               batch_size=2, seed=7), prox,
+                   TrainConfig(iterations=10, alpha_init=4.0, beta=0.25, lr=3e-4,
+                               lr_halve_every=300, epochs=6, batch_size=2, seed=7), prox,
                    [op.apply(x) for x in train_set])
     ys = [op.apply(x) for x in test_set]
     return {"op": op, "test": test_set, "ys": ys, "result": result, "t0": t0}
@@ -387,8 +386,8 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     prox = ProximalConfig(feature_maps=8, normalization="instance")
 
     def run_once(path):
-        res = train(images, op, UnrollConfig(iterations=2),
-                    TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=5), prox,
+        res = train(images, op,
+                    TrainConfig(iterations=2, lr=1e-3, epochs=2, batch_size=2, seed=5), prox,
                     [op.apply(x) for x in images])
         write_trace_csv(res.trace, path)
         return res, path.read_bytes()
@@ -401,7 +400,7 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     m2 = generate_vardens_mask(64, 64, 0.2, 0.04, 3.0, 9)
     assert np.array_equal(m1.bits, m2.bits)
     # checkpoint round trip is byte-identical, corruption rejected
-    ck = res_a.to_checkpoint(UnrollConfig(iterations=2), seed=5)
+    ck = from_training(res_a, TrainConfig(iterations=2, seed=5))
     blob = serialize(ck)
     again = serialize(deserialize(blob))
     assert blob == again

@@ -274,12 +274,12 @@ def test_default_lambda_grid_scales_with_peak():
 
 def test_cs_config_validation():
     with pytest.raises(ParameterError):
-        CsConfig(lam=-0.1).validate()
+        CsConfig(lam=-0.1)
     with pytest.raises(ParameterError):
-        CsConfig(iterations=0).validate()
+        CsConfig(iterations=0)
     with pytest.raises(ParameterError):
-        CsConfig(solver="admm").validate()
-    CsConfig(lam=0.0).validate()  # zero threshold = plain gradient descent
+        CsConfig(solver="admm")
+    CsConfig(lam=0.0)  # zero threshold = plain gradient descent
 
 
 # ---------------------------------------------------------------------------

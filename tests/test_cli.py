@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npgd.checkpoint import _Writer
 from npgd.cli import main
-from npgd.config import parse_config_text, parse_sweep_grid
+from npgd.config import ExperimentConfig, parse_config, parse_config_text, parse_sweep_grid
 from npgd.core import magnitude
 from npgd.errors import ConfigError, NpgdError
 from npgd.pgm import read_pgm, write_pgm16
@@ -91,8 +92,11 @@ def test_validation_before_compute():
     "noise_std = nan",
     "alpha_init = inf",
     "train_seed = -1",
+    "alpha_init = 1e39",
+    "noise_std = 1e39",
 ], ids=["negative-mask-decay", "cs-levels-above-image-size", "lr-nan", "lr-inf",
-        "lr-above-float32", "noise-std-nan", "alpha-init-inf", "negative-seed"])
+        "lr-above-float32", "noise-std-nan", "alpha-init-inf", "negative-seed",
+        "alpha-init-above-float32", "noise-std-above-float32"])
 def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
     key = line.split("=")[0].strip()  # replaces TINY_MRI's value, if it sets one
     base = "".join(f"{kv}\n" for kv in TINY_MRI.splitlines()
@@ -187,6 +191,41 @@ def test_sweep_grid_parsing():
         parse_sweep_grid("1-1")
     with pytest.raises(ConfigError):
         parse_sweep_grid("0:1")
+
+
+def _mutated_config(data) -> str:
+    """A valid config text after 1 to 4 random edits: a byte flip, a dropped
+    or duplicated line, or the values of two lines swapped."""
+    lines = data.draw(st.sampled_from([TINY_MRI, TINY_CHAIN])).strip().splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["flip", "drop", "duplicate", "swap"]))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "flip":
+            raw = bytearray("\n".join(lines).encode("latin-1"))
+            k = data.draw(st.integers(0, len(raw) - 1))
+            raw[k] ^= data.draw(st.integers(1, 255))
+            lines = raw.decode("latin-1").splitlines() or [""]
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            if "=" in lines[i] and "=" in lines[j]:
+                (ki, vi), (kj, vj) = lines[i].split("=", 1), lines[j].split("=", 1)
+                lines[i], lines[j] = f"{ki}={vj}", f"{kj}={vi}"
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_mutated_config_parses_or_raises_npgd_error(data):
+    text = _mutated_config(data)
+    try:
+        cfg = parse_config_text(text)
+    except NpgdError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +370,13 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert err == f"npgd: error: {cfg}: not a UTF-8 text file\n"
 
 
+def test_config_with_byte_order_mark_parses_like_without(tmp_path):
+    text = TINY_MRI.lstrip().encode("utf-8")
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_config(tmp_path / "bom.cfg") == parse_config(tmp_path / "plain.cfg")
+
+
 def test_train_reconstruct_baseline_roundtrip(tmp_path, capsys):
     cfg_path = _write(tmp_path / "c.cfg", TINY_MRI)
     out = tmp_path / "run"
@@ -468,6 +514,17 @@ def test_sweep_writes_table(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "T,RBs,train_seconds,infer_seconds_per_image,snr_mean,ssim_mean"
     assert len(lines) == 3
+
+
+def test_chain_sweep_cell_with_res_blocks_exits_2(tmp_path, capsys):
+    # a chain has no residual blocks: an RB of 3 would train the RB-1 model again
+    cfg_path = _write(tmp_path / "c.cfg", TINY_CHAIN + "sweep_grid = 1:1,1:3\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("npgd: error: sweep_grid") and err.count("\n") == 1
+    assert not out.exists()
+    assert parse_config_text(TINY_CHAIN + "sweep_grid = 1:1,3:1\n").arch == "chain"
 
 
 def test_divergent_training_exits_1(tmp_path):
@@ -799,16 +856,19 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     (_tiny_checkpoint_blob(beta=7.0), 2),
     (_tiny_checkpoint_blob(repeat_entry="epoch"), 2),
     (_tiny_checkpoint_blob(repeat_record="tail3.bias"), 2),
+    (_tiny_checkpoint_blob(arch="mlp"), 2),
+    (_tiny_checkpoint_blob(arch="chain", activation="swish", normalization="none",
+                           chain_kernel=4), 2),
 ], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
         "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
-        "duplicate-entry", "duplicate-record"])
+        "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel"])
 def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)
     cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")
     assert main(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
-    assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert err.startswith(f"npgd: error: {ckpt}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

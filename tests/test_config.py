@@ -1,0 +1,96 @@
+"""Every config class checks its ranges at construction and is frozen, so
+any config object that exists, including one made by
+``dataclasses.replace``, is in range."""
+
+import dataclasses
+
+import pytest
+
+from npgd.baselines import CsConfig
+from npgd.config import ExperimentConfig
+from npgd.errors import ParameterError
+from npgd.proxnet import ProximalConfig
+from npgd.unroll import TrainConfig
+
+CHAIN = {"arch": "chain", "activation": "swish", "normalization": "none"}
+NAN, HUGE = float("nan"), 1e39  # HUGE is finite in float64, inf in float32
+
+# (class, valid base arguments, one out-of-range change)
+CASES = [
+    (ProximalConfig, {}, {"arch": "mlp"}),
+    (ProximalConfig, {}, {"activation": "tanh"}),
+    (ProximalConfig, {}, {"normalization": "batch"}),
+    (ProximalConfig, {}, {"feature_maps": 0}),
+    (ProximalConfig, {}, {"num_res_blocks": 0}),
+    (ProximalConfig, CHAIN, {"chain_layers": 0}),
+    (ProximalConfig, CHAIN, {"chain_kernel": 4}),
+    (ProximalConfig, CHAIN, {"chain_kernel": -1}),
+    (ProximalConfig, CHAIN, {"normalization": "instance"}),
+    (ProximalConfig, CHAIN, {"activation": "relu"}),
+    (TrainConfig, {}, {"iterations": 0}),
+    (TrainConfig, {}, {"alpha_init": 0.0}),
+    (TrainConfig, {}, {"alpha_init": NAN}),
+    (TrainConfig, {}, {"alpha_init": HUGE}),
+    (TrainConfig, {}, {"beta": -0.1}),
+    (TrainConfig, {}, {"beta": 1.5}),
+    (TrainConfig, {}, {"beta": NAN}),
+    (TrainConfig, {}, {"loss": "huber"}),
+    (TrainConfig, {}, {"lr": 0.0}),
+    (TrainConfig, {}, {"lr": NAN}),
+    (TrainConfig, {}, {"lr": HUGE}),
+    (TrainConfig, {}, {"lr_halve_every": 0}),
+    (TrainConfig, {}, {"batch_size": 0}),
+    (TrainConfig, {}, {"epochs": 0}),
+    (TrainConfig, {}, {"seed": -1}),
+    (CsConfig, {}, {"lam": -0.1}),
+    (CsConfig, {}, {"lam": NAN}),
+    (CsConfig, {}, {"iterations": 0}),
+    (CsConfig, {}, {"solver": "admm"}),
+    (CsConfig, {}, {"levels": 0}),
+    (ExperimentConfig, {}, {"task": "ct"}),
+    (ExperimentConfig, {}, {"image_size": 48}),
+    (ExperimentConfig, {}, {"image_size": 4}),
+    (ExperimentConfig, {}, {"data_num": 0}),
+    (ExperimentConfig, {}, {"holdout": 0}),
+    (ExperimentConfig, {}, {"holdout": 200}),
+    (ExperimentConfig, {}, {"noise_std": -0.1}),
+    (ExperimentConfig, {}, {"noise_std": HUGE}),
+    (ExperimentConfig, {}, {"data_seed": -1}),
+    (ExperimentConfig, {}, {"train_seed": -1}),
+    (ExperimentConfig, {}, {"mask_rate": 0.0}),
+    (ExperimentConfig, {}, {"mask_center_fraction": 0.3}),
+    (ExperimentConfig, {}, {"mask_decay": -1.0}),
+    (ExperimentConfig, {}, {"unroll_t": 0}),
+    (ExperimentConfig, {}, {"alpha_init": HUGE}),
+    (ExperimentConfig, {}, {"beta": 2.0}),
+    (ExperimentConfig, {}, {"loss": "huber"}),
+    (ExperimentConfig, {}, {"lr": HUGE}),
+    (ExperimentConfig, {}, {"epochs": 0}),
+    (ExperimentConfig, {}, {"arch": "mlp"}),
+    (ExperimentConfig, CHAIN, {"chain_kernel": 4}),
+    (ExperimentConfig, {}, {"cs_lambda": 0.0}),
+    (ExperimentConfig, {}, {"cs_iterations": 0}),
+    (ExperimentConfig, {}, {"cs_solver": "admm"}),
+    (ExperimentConfig, {}, {"cs_levels": 7}),
+    (ExperimentConfig, {}, {"cs_grid_points": 0}),
+    (ExperimentConfig, {}, {"cs_val_images": 0}),
+    (ExperimentConfig, {}, {"sweep_grid": ""}),
+    (ExperimentConfig, {}, {"sweep_grid": "1:0"}),
+    (ExperimentConfig, CHAIN, {"sweep_grid": "1:1,1:3"}),
+    (ExperimentConfig, {}, {"threads": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, base, change", CASES,
+    ids=[f"{cls.__name__}-{'chain-' if base else ''}{k}={v}"
+         for cls, base, change in CASES for k, v in change.items()])
+def test_config_rejects_out_of_range_value_at_construction(cls, base, change):
+    valid = cls(**base)
+    with pytest.raises(ParameterError):
+        cls(**{**base, **change})
+    with pytest.raises(ParameterError):
+        dataclasses.replace(valid, **change)
+    (key, value), = change.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(valid, key, value)

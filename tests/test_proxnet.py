@@ -22,18 +22,16 @@ def _chain_cfg(layers=3, kernel=5, feats=6):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ProximalConfig(arch="mlp").validate()
+        ProximalConfig(arch="mlp")
     with pytest.raises(ConfigError):
         ProximalConfig(arch="chain", chain_kernel=8, activation="swish",
-                       normalization="none").validate()
+                       normalization="none")
     with pytest.raises(ConfigError):
-        ProximalConfig(arch="chain", activation="swish",
-                       normalization="instance").validate()
+        ProximalConfig(arch="chain", activation="swish", normalization="instance")
     with pytest.raises(ConfigError):
-        ProximalConfig(arch="chain", activation="relu",
-                       normalization="none").validate()
-    ProximalConfig().validate()
-    _chain_cfg().validate()
+        ProximalConfig(arch="chain", activation="relu", normalization="none")
+    ProximalConfig()
+    _chain_cfg()
 
 
 def test_resnet_forward_preserves_shape():

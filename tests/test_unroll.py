@@ -9,8 +9,8 @@ from npgd.operators import BoxDownsampleOperator, MaskedFourierOperator, gradien
 from npgd.phantoms import generate_dataset
 from npgd.proxnet import ProximalConfig, build
 from npgd.sampling import generate_vardens_mask
-from npgd.unroll import (TrainConfig, UnrollConfig, loss_p1,
-                         reconstruct, train, unrolled_forward, write_trace_csv)
+from npgd.unroll import (TrainConfig, loss_p1, reconstruct, train, unrolled_forward,
+                         write_trace_csv)
 
 from conftest import full_mask, make_identity_resnet, random_complex_image
 
@@ -126,8 +126,8 @@ def test_overfit_single_sample_smoke():
     op = MaskedFourierOperator(full_mask(16, 16))
     prox = ProximalConfig(feature_maps=8, normalization="none")
     result = train(imgs, op,
-                   UnrollConfig(iterations=1, alpha_init=1.0, beta=0.75),
-                   TrainConfig(lr=1e-2, epochs=200, batch_size=1, seed=0), prox,
+                   TrainConfig(iterations=1, alpha_init=1.0, beta=0.75, lr=1e-2,
+                               epochs=200, batch_size=1, seed=0), prox,
                    [op.apply(x) for x in imgs])
     first = result.trace[0][3]
     last = result.trace[-1][3]
@@ -139,8 +139,8 @@ def test_training_is_seed_deterministic(tmp_path):
     op = _op(seed=32)
 
     def run():
-        res = train(imgs, op, UnrollConfig(iterations=2),
-                    TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=5),
+        res = train(imgs, op,
+                    TrainConfig(iterations=2, lr=1e-3, epochs=2, batch_size=2, seed=5),
                     ProximalConfig(feature_maps=4), [op.apply(x) for x in imgs])
         path = tmp_path / "trace.csv"
         write_trace_csv(res.trace, path)
@@ -154,8 +154,8 @@ def test_nan_loss_aborts_with_diagnostic():
     imgs = generate_dataset(2, 16, seed=33)
     op = _op(seed=34)
     with pytest.raises(NumericsError, match="step"):
-        train(imgs, op, UnrollConfig(iterations=2),
-              TrainConfig(lr=1e12, epochs=50, batch_size=2, seed=0),
+        train(imgs, op,
+              TrainConfig(iterations=2, lr=1e12, epochs=50, batch_size=2, seed=0),
               ProximalConfig(feature_maps=4, normalization="none"),
               [op.apply(x) for x in imgs])
 
@@ -164,8 +164,8 @@ def test_alpha_clamped_at_floor():
     imgs = generate_dataset(2, 16, seed=35)
     op = _op(seed=36)
     res = train(imgs, op,
-                UnrollConfig(iterations=1, alpha_init=2e-4),
-                TrainConfig(lr=0.5, epochs=3, batch_size=2, seed=1),
+                TrainConfig(iterations=1, alpha_init=2e-4, lr=0.5, epochs=3, batch_size=2,
+                            seed=1),
                 ProximalConfig(feature_maps=4, normalization="none"),
                 [op.apply(x) for x in imgs])
     assert float(res.alpha.value) >= float(np.float32(1e-4))
@@ -173,7 +173,7 @@ def test_alpha_clamped_at_floor():
 
 def test_empty_dataset_rejected():
     with pytest.raises(ParameterError):
-        train([], None, UnrollConfig(), TrainConfig(), ProximalConfig(), [])
+        train([], None, TrainConfig(), ProximalConfig(), [])
 
 
 def test_reconstruct_deterministic_and_zero_input():

@@ -211,6 +211,9 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
                     loss=values["loss"], seed=values["seed"])
     except ParameterError as exc:
         raise FormatError(f"{origin}: {exc}") from None
+    for key in ("epoch", "adam_step"):  # step counts, which no run leaves negative
+        if values[key] < 0:
+            raise FormatError(f"{origin}: {key} must be >= 0, got {values[key]}")
     return Checkpoint(prox=prox, alpha=float(alpha), params=params, adam_m=adam_m,
                       adam_v=adam_v, **{k: values[k] for k in _RUN_KEYS})
 

@@ -20,6 +20,23 @@ from .sampling import mask_quota
 from .unroll import TrainConfig
 
 
+# the config key of each sub-config field or mask_quota parameter not named like it
+_KEYS = {TrainConfig: {"iterations": "unroll_t", "seed": "train_seed"},
+         CsConfig: {"lam": "cs_lambda", "iterations": "cs_iterations",
+                    "solver": "cs_solver", "levels": "cs_levels"},
+         mask_quota: {name: f"mask_{name}" for name in ("rate", "center_fraction", "decay")}}
+
+
+def _naming_keys(fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ParameterError, which leads with the name of
+    fn's parameter, comes back as a ConfigError that leads with its key."""
+    try:
+        return fn(*args, **kwargs)
+    except ParameterError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{_KEYS.get(fn, {}).get(name, name)} {rule}") from None
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -78,9 +95,14 @@ class ExperimentConfig:
     out_dir: str = "out"
     threads: int = 1
 
+    def _sub_config(self, cls, **given):
+        """A cls built from the config keys of its fields; given values win."""
+        keys = _KEYS.get(cls, {})
+        values = {f.name: getattr(self, keys.get(f.name, f.name)) for f in fields(cls)}
+        return _naming_keys(cls, **{**values, **given})
+
     def prox_config(self) -> ProximalConfig:
-        return ProximalConfig(**{f.name: getattr(self, f.name)
-                                 for f in fields(ProximalConfig)})
+        return self._sub_config(ProximalConfig)
 
     def train_config(self) -> TrainConfig:
         # projection spectrum {0,1} makes alpha=1 exact for masked Fourier;
@@ -89,16 +111,12 @@ class ExperimentConfig:
         alpha = self.alpha_init
         if alpha is None:
             alpha = 1.0 if self.task == "mri" else 4.0
-        return TrainConfig(iterations=self.unroll_t, alpha_init=alpha, beta=self.beta,
-                           loss=self.loss, lr=self.lr, lr_halve_every=self.lr_halve_every,
-                           batch_size=self.batch_size, epochs=self.epochs,
-                           seed=self.train_seed)
+        return self._sub_config(TrainConfig, alpha_init=alpha)
 
     def cs_config(self) -> CsConfig:
         """The solver settings; lam is a placeholder when cs_lambda is unset
         and gets tuned."""
-        return CsConfig(lam=self.cs_lambda or 1.0, iterations=self.cs_iterations,
-                        solver=self.cs_solver, levels=self.cs_levels)
+        return self._sub_config(CsConfig, lam=self.cs_lambda or 1.0)
 
     def __post_init__(self) -> None:
         """Range checks that no sub-config owns, then each sub-config's own."""
@@ -120,11 +138,8 @@ class ExperimentConfig:
         if self.data_seed < 0:  # numpy takes no negative seed
             raise ConfigError("data_seed must be >= 0")
         if self.task == "mri":
-            try:
-                mask_quota(n, n, self.mask_rate, self.mask_center_fraction,
-                           self.mask_decay)
-            except ParameterError as exc:
-                raise ConfigError(f"mask: {exc}") from None
+            _naming_keys(mask_quota, n, n, self.mask_rate, self.mask_center_fraction,
+                         self.mask_decay)
         for key in ("cs_grid_points", "cs_val_images"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
@@ -137,12 +152,8 @@ class ExperimentConfig:
         if self.arch == "chain" and any(rb != 1 for _, rb in cells):
             raise ConfigError(f"sweep_grid {self.sweep_grid!r}: a chain has no "
                               f"residual blocks, so every cell's RB must be 1")
-        for cls, make in ((ProximalConfig, self.prox_config),
-                          (TrainConfig, self.train_config), (CsConfig, self.cs_config)):
-            try:
-                make()
-            except ParameterError as exc:
-                raise ConfigError(f"{cls.__name__}: {exc}") from None
+        for make in (self.prox_config, self.train_config, self.cs_config):
+            make()
         if self.cs_levels >= n.bit_length():  # each Haar level halves the image
             raise ConfigError(f"image_size {n} is not divisible by 2^cs_levels "
                               f"= 2^{self.cs_levels}")

@@ -23,9 +23,8 @@ reported alongside the decomposition residual.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .core import norm
 from .errors import ContractError
 from .operators import LinearOperator, gradient_step, preconditioned
 from .proxnet import MaskSnapshot, ProximalNet
-from .unroll import write_csv
 
 
 class FrozenAffineMap:
@@ -77,10 +75,6 @@ class TraceRow:
     err_next: float
 
 
-TRACE_COLUMNS = ("t", "nrmse", "eta1", "eta2", "xi_norm", "decomp_residual",
-                 "bound_slack")
-
-
 def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
                      xi: np.ndarray, op: LinearOperator, alpha: float,
                      x_star: np.ndarray, x_t: np.ndarray,
@@ -115,10 +109,9 @@ def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
 
 @dataclass
 class ContractionTrace:
-    """One sample's rows, plus x_T and the gate masks at g(x_T; y) that the
-    last transition froze (the linearization point for de-biasing)."""
+    """One trajectory's rows, plus x_T and the gate masks at g(x_T; y) that
+    the last transition froze (the linearization point for de-biasing)."""
 
-    sample: int
     rows: List[TraceRow]
     x_final: np.ndarray
     masks_final: MaskSnapshot
@@ -156,48 +149,24 @@ def debias(net: ProximalNet, masks_t: MaskSnapshot, op: LinearOperator,
 
 
 def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
-                       test_set: Sequence[Tuple[np.ndarray, np.ndarray]],
-                       iterations: int,
-                       out_dir: Optional[Union[str, os.PathLike]] = None
-                       ) -> Tuple[List[ContractionTrace], List[tuple]]:
-    """Per-sample contraction traces over (ground truth, measurement) pairs.
+                       x_star: np.ndarray, y: np.ndarray,
+                       iterations: int) -> ContractionTrace:
+    """The contraction trace of one (ground truth, measurement) pair.
 
     Row t covers iterate x_t and the transition to x_{t+1}, the last one
     through s_{T+1} = g(x_T; y). One forward at x_* gives xi and M_*, and one
-    per state s_{t+1} gives both x_{t+1} and M_t. When out_dir is given,
-    writes trace_NNNN.csv per sample plus aggregate.csv.
+    per state s_{t+1} gives both x_{t+1} and M_t.
     """
-    traces = []
-    for idx, (x_star, y) in enumerate(test_set):
-        if norm(y - op.apply(x_star)) > 1e-4 * max(norm(y), 1e-12):
-            raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
-        fx_star, masks_star = net.forward_and_masks(x_star)
-        m_star, xi = FrozenAffineMap(net, masks_star), fx_star - x_star
-        x_next = net.forward(gradient_step(np.zeros((2,) + tuple(op.in_shape), np.float32),
-                                           y, alpha, op)).value
-        rows = []
-        for t in range(1, iterations + 1):
-            x_t = x_next
-            x_next, masks_t = net.forward_and_masks(gradient_step(x_t, y, alpha, op))
-            rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
-                                         op, alpha, x_star, x_t, x_next))
-        traces.append(ContractionTrace(idx, rows, x_t, masks_t))
-
-    aggregate = []
+    if norm(y - op.apply(x_star)) > 1e-4 * max(norm(y), 1e-12):
+        raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
+    fx_star, masks_star = net.forward_and_masks(x_star)
+    m_star, xi = FrozenAffineMap(net, masks_star), fx_star - x_star
+    x_next = net.forward(gradient_step(np.zeros((2,) + tuple(op.in_shape), np.float32),
+                                       y, alpha, op)).value
+    rows = []
     for t in range(1, iterations + 1):
-        at = [tr.rows[t - 1] for tr in traces]
-        nr = np.array([r.nrmse for r in at])
-        e1 = np.array([r.eta1 for r in at])
-        e2 = np.array([r.eta2 for r in at])
-        aggregate.append((t, nr.mean(), nr.std(), e1.mean(), e1.std(),
-                          e2.mean(), e2.std()))
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for tr in traces:
-            write_csv(os.path.join(out_dir, f"trace_{tr.sample:04d}.csv"), TRACE_COLUMNS,
-                      [[getattr(r, c) for c in TRACE_COLUMNS] for r in tr.rows])
-        write_csv(os.path.join(out_dir, "aggregate.csv"),
-                  ("t", "nrmse_mean", "nrmse_std", "eta1_mean", "eta1_std",
-                   "eta2_mean", "eta2_std"), aggregate)
-    return traces, aggregate
+        x_t = x_next
+        x_next, masks_t = net.forward_and_masks(gradient_step(x_t, y, alpha, op))
+        rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
+                                     op, alpha, x_star, x_t, x_next))
+    return ContractionTrace(rows, x_t, masks_t)

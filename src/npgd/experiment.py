@@ -102,14 +102,13 @@ def split_dataset(images: Sequence[np.ndarray], holdout: int):
     return list(images[:-holdout]), list(images[-holdout:])
 
 
-def build_operator(cfg: ExperimentConfig):
-    """Returns (operator, mask-or-None) for the configured task."""
+def build_operator(cfg: ExperimentConfig) -> LinearOperator:
+    """The operator of the configured task."""
     if cfg.task == "mri":
-        mask = generate_vardens_mask(cfg.image_size, cfg.image_size,
-                                     cfg.mask_rate, cfg.mask_center_fraction,
-                                     cfg.mask_decay, cfg.mask_seed)
-        return MaskedFourierOperator(mask), mask
-    return BoxDownsampleOperator(cfg.image_size, cfg.image_size), None
+        return MaskedFourierOperator(generate_vardens_mask(
+            cfg.image_size, cfg.image_size, cfg.mask_rate, cfg.mask_center_fraction,
+            cfg.mask_decay, cfg.mask_seed))
+    return BoxDownsampleOperator(cfg.image_size, cfg.image_size)
 
 
 def simulate_measurements(images: Sequence[np.ndarray], op: LinearOperator,
@@ -118,19 +117,20 @@ def simulate_measurements(images: Sequence[np.ndarray], op: LinearOperator,
     ys = [op.apply(x) for x in images]
     if noise_std > 0:
         rng = np.random.default_rng(seed)
-        # noise only where op measures: its whole output, or the sampled k-space
-        measured = op.mask.natural_bits() if isinstance(op, MaskedFourierOperator) else True
-        # one draw per image fills the real plane, then the imaginary one
-        ys = [y + np.where(measured, rng.normal(0, noise_std, y.shape).astype(np.float32),
-                           np.float32(0)) for y in ys]
+        # one draw per image fills the real plane, then the imaginary one; a
+        # draw beyond float32's range becomes inf, which the check below reports
+        with np.errstate(over="ignore"):
+            ys = [y + np.where(op.measured, rng.normal(0, noise_std, y.shape).astype(np.float32),
+                               np.float32(0)) for y in ys]
+        if not all(np.isfinite(y).all() for y in ys):
+            raise ConfigError(f"noise_std {noise_std} makes a measurement non-finite")
     return ys
 
 
 def _setup(cfg: ExperimentConfig):
     """The (train, test) split and the operator every command starts from."""
     train_set, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
-    op, _ = build_operator(cfg)
-    return train_set, test_set, op
+    return train_set, test_set, build_operator(cfg)
 
 
 TRAIN, HELD_OUT, VALIDATION = 0, 1, 2  # noise streams of the image sets
@@ -225,7 +225,7 @@ def run_genmask(cfg: ExperimentConfig, out_dir: str, log) -> None:
     if cfg.task != "mri":
         raise ConfigError("genmask requires task = mri")
     os.makedirs(out_dir, exist_ok=True)
-    _, mask = build_operator(cfg)
+    mask = build_operator(cfg).mask
     pgm = os.path.join(out_dir, "mask.pgm")
     bits = os.path.join(out_dir, "mask.bits")
     save_mask_pgm(mask, pgm)
@@ -314,15 +314,28 @@ def run_analyze(cfg: ExperimentConfig, out_dir: str, log) -> None:
     ck, net, alpha = _load_checkpoint(cfg)
     _, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT, noise_std=0.0)))
-    traces, _ = analyze_trajectory(net, alpha, op, pairs, ck.unroll_t, out_dir=out_dir)
+    traces = [analyze_trajectory(net, alpha, op, x_star, y, ck.unroll_t)
+              for x_star, y in pairs]
+    aggregate = []
+    for t in range(ck.unroll_t):
+        row = [t + 1]
+        for column in ("nrmse", "eta1", "eta2"):
+            values = np.array([getattr(tr.rows[t], column) for tr in traces])
+            row += [values.mean(), values.std()]
+        aggregate.append(row)
+    write_csv(os.path.join(out_dir, "aggregate.csv"),
+              ("t", "nrmse_mean", "nrmse_std", "eta1_mean", "eta1_std",
+               "eta2_mean", "eta2_std"), aggregate)
+    columns = ("t", "nrmse", "eta1", "eta2", "xi_norm", "decomp_residual", "bound_slack")
     debias_rows = []
-    for tr, (_, y) in zip(traces, pairs):
-        x_t = tr.x_final
+    for i, (tr, (_, y)) in enumerate(zip(traces, pairs)):
+        write_csv(os.path.join(out_dir, f"trace_{i:04d}.csv"), columns,
+                  [[getattr(r, c) for c in columns] for r in tr.rows])
         # linearize where the frozen map is actually applied: the final
         # proximal input g(x_T; y)
-        res = debias(net, tr.masks_final, op, alpha, y, x_t)
-        debias_rows.append((tr.sample, int(res.converged), int(res.diverged),
-                            res.iterations, norm(y - op.apply(x_t)),
+        res = debias(net, tr.masks_final, op, alpha, y, tr.x_final)
+        debias_rows.append((i, int(res.converged), int(res.diverged),
+                            res.iterations, norm(y - op.apply(tr.x_final)),
                             norm(y - op.apply(res.x))))
     write_csv(os.path.join(out_dir, "debias.csv"),
               ("index", "converged", "diverged", "iterations", "residual_xT",

@@ -23,6 +23,8 @@ class LinearOperator:
 
     in_shape: tuple
     out_shape: tuple
+    # where apply's output holds a measurement: all of it, or an out_shape mask
+    measured: Union[bool, np.ndarray] = True
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -51,26 +53,26 @@ class MaskedFourierOperator(LinearOperator):
 
     def __init__(self, mask: SamplingMask):
         self.mask = mask
-        self._bits = mask.natural_bits()
+        self.measured = mask.natural_bits()  # the sampled k-space, in FFT layout
         self.in_shape = (mask.height, mask.width)
         self.out_shape = (mask.height, mask.width)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         _check(x, self.in_shape, "mf_apply")
-        return np.where(self._bits, fft2(x), np.float32(0))
+        return np.where(self.measured, fft2(x), np.float32(0))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         _check(y, self.out_shape, "mf_adjoint")
-        return ifft2(np.where(self._bits, y, np.float32(0)))
+        return ifft2(np.where(self.measured, y, np.float32(0)))
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The base pair bit for bit (y kept off the mask), in one round trip."""
         _check(x, self.in_shape, "mf_apply")
         _check(y, self.out_shape, "mf_adjoint")
-        r = to_complex(y) - np.where(self._bits, np.fft.fft2(to_complex(x), norm="ortho"),
+        r = to_complex(y) - np.where(self.measured, np.fft.fft2(to_complex(x), norm="ortho"),
                                      np.complex64(0))
         # not out=: numpy 2.4's ifft2 with out= returns wrong values
-        back = np.fft.ifft2(np.where(self._bits, r, np.complex64(0)), norm="ortho")
+        back = np.fft.ifft2(np.where(self.measured, r, np.complex64(0)), norm="ortho")
         return to_planes(r), to_planes(back)
 
 

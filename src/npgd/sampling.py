@@ -68,8 +68,8 @@ def mask_quota(height: int, width: int, rate: float, center_fraction: float,
     side = _round_half_up(np.sqrt(center_fraction * n))
     if side * side > total:
         raise ParameterError(
-            f"center square ({side * side} samples) exceeds the total quota ({total}); "
-            f"lower center_fraction or raise rate")
+            f"center_fraction {center_fraction} asks for {side * side} center samples, "
+            f"more than the total quota of {total}; lower it or raise the rate")
     return total, side
 
 

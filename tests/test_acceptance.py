@@ -346,16 +346,16 @@ def test_criterion_5_contraction_suite(sr_bundle):
     op, test_set, ys = b["op"], b["test"], b["ys"]
     net = b["result"].net
     alpha = float(b["result"].alpha.value)
-    traces, _ = analyze_trajectory(net, alpha, op, list(zip(test_set, ys)), 10)
+    traces = [analyze_trajectory(net, alpha, op, x, y, 10) for x, y in zip(test_set, ys)]
     # (a) decomposition identity at every step of every trajectory
-    for tr in traces:
+    for i, tr in enumerate(traces):
         for row in tr.rows:
             assert row.decomp_residual <= 1e-4 * (row.err_next + 1.0), \
-                (tr.sample, row.t, row.decomp_residual)
+                (i, row.t, row.decomp_residual)
     # (b) bound slack everywhere
-    for tr in traces:
+    for i, tr in enumerate(traces):
         for row in tr.rows:
-            assert row.bound_slack >= -1e-5 * row.delta_norm, (tr.sample, row.t)
+            assert row.bound_slack >= -1e-5 * row.delta_norm, (i, row.t)
     # (c) NRMSE decreases from t=1 to t=T on >= 90% of samples
     improved = sum(1 for tr in traces if tr.rows[-1].nrmse < tr.rows[0].nrmse)
     assert improved >= int(np.ceil(0.9 * len(traces))), improved

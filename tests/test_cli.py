@@ -81,6 +81,9 @@ def test_validation_before_compute():
         parse_config_text("task = ct")
     with pytest.raises(ConfigError):
         parse_config_text("mask_rate = 0.2\nmask_center_fraction = 0.3")
+    # a center square above the quota: 10x10 samples where rate 0.371 allows 95
+    with pytest.raises(ConfigError, match="^mask_center_fraction 0.36 asks for 100 "):
+        parse_config_text("image_size = 16\nmask_rate = 0.371\nmask_center_fraction = 0.36")
 
 
 @pytest.mark.parametrize("line", [
@@ -94,9 +97,14 @@ def test_validation_before_compute():
     "train_seed = -1",
     "alpha_init = 1e39",
     "noise_std = 1e39",
+    "unroll_t = 0",
+    "cs_iterations = 0",
+    "cs_solver = admm",
+    "mask_rate = 0",
 ], ids=["negative-mask-decay", "cs-levels-above-image-size", "lr-nan", "lr-inf",
         "lr-above-float32", "noise-std-nan", "alpha-init-inf", "negative-seed",
-        "alpha-init-above-float32", "noise-std-above-float32"])
+        "alpha-init-above-float32", "noise-std-above-float32", "unroll-t-zero",
+        "cs-iterations-zero", "unknown-cs-solver", "mask-rate-zero"])
 def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
     key = line.split("=")[0].strip()  # replaces TINY_MRI's value, if it sets one
     base = "".join(f"{kv}\n" for kv in TINY_MRI.splitlines()
@@ -106,6 +114,7 @@ def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("npgd: error:") and err.count("\n") == 1
+    assert key in err  # the key the user wrote, not a sub-config's field name
     assert not out.exists()
 
 
@@ -447,8 +456,8 @@ def test_noise_streams_are_separate_per_image_set(tmp_path, monkeypatch):
 def test_noise_only_where_k_space_is_sampled():
     from npgd.experiment import build_operator, simulate_measurements
     from npgd.operators import BoxDownsampleOperator
-    op, mask = build_operator(parse_config_text(TINY_MRI))
-    bits = mask.natural_bits()
+    op = build_operator(parse_config_text(TINY_MRI))
+    bits = op.mask.natural_bits()
     images = generate_dataset(3, 16, seed=8)
     rng = np.random.default_rng(4)
     for x, y in zip(images, simulate_measurements(images, op, 0.05, seed=4)):
@@ -461,6 +470,20 @@ def test_noise_only_where_k_space_is_sampled():
     for x, y in zip(images, simulate_measurements(images, box, 0.05, seed=4)):
         draw = rng.normal(0, 0.05, y.shape).astype(np.float32)
         assert np.array_equal(y, box.apply(x) + draw)
+
+
+@pytest.mark.parametrize("noise_std, code, message", [
+    ("3e38", 2, "npgd: error: noise_std 3e+38 makes a measurement non-finite"),
+    ("1e37", 1, "npgd: error: non-finite loss at step 0 on training image"),
+], ids=["measurement-overflows", "only-the-loss-overflows"])
+def test_noise_too_large_exits_cleanly(tmp_path, capsys, noise_std, code, message):
+    # a noise draw beyond float32's range is a config error, reported with
+    # no numpy warning (which this suite turns into a failure); a finite
+    # measurement whose loss overflows is a run failure
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"noise_std = {noise_std}\n")
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 TOY_TRAINED = """
@@ -652,7 +675,7 @@ def test_reconstruct_writes_residuals(tmp_path):
     cfg = parse_config(rec_cfg)
     net, alpha = checkpoint.restore_net(checkpoint.load(ckpt))
     _, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
-    op, _ = build_operator(cfg)
+    op = build_operator(cfg)
     expected = []
     for i, x_true in enumerate(test_set):
         _, residuals = reconstruct(net, alpha, op, op.apply(x_true), cfg.unroll_t)
@@ -709,8 +732,18 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     for i in range(3):
         header = (an / f"trace_{i:04d}.csv").read_text().splitlines()[0]
         assert header == "t,nrmse,eta1,eta2,xi_norm,decomp_residual,bound_slack"
-    assert (an / "aggregate.csv").read_text().splitlines()[0] == \
-        "t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std"
+    agg = (an / "aggregate.csv").read_text().splitlines()
+    assert agg[0] == "t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std"
+    assert len(agg) == 1 + 3  # one row per iteration t
+    # each row's means are the means over the samples' trace rows at that t
+    traces = [np.loadtxt(an / f"trace_{i:04d}.csv", delimiter=",", skiprows=1)
+              for i in range(3)]
+    for t, line in enumerate(agg[1:]):
+        row = [float(v) for v in line.split(",")]
+        assert row[0] == t + 1
+        for mean_at, column in ((1, 1), (3, 2), (5, 3)):
+            assert row[mean_at] == pytest.approx(np.mean([tr[t, column] for tr in traces]),
+                                                 rel=1e-6)
     lines = (an / "debias.csv").read_text().splitlines()
     assert lines[0] == ("index,converged,diverged,iterations,residual_xT,"
                         "residual_debiased")
@@ -728,7 +761,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
     cfg = parse_config(an_cfg)
     net, alpha = checkpoint.restore_net(checkpoint.load(ckpt))
     _, test_set = split_dataset(build_dataset(cfg), cfg.holdout)
-    op, _ = build_operator(cfg)
+    op = build_operator(cfg)
     for i, x_true in enumerate(test_set):
         y = op.apply(x_true)
         x_t = unrolled_forward(net, op, y, 3, alpha)[0][-1].value
@@ -859,9 +892,12 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     (_tiny_checkpoint_blob(arch="mlp"), 2),
     (_tiny_checkpoint_blob(arch="chain", activation="swish", normalization="none",
                            chain_kernel=4), 2),
+    (_tiny_checkpoint_blob(epoch=-5), 2),
+    (_tiny_checkpoint_blob(adam_step=-7), 2),
 ], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
         "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
-        "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel"])
+        "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel",
+        "negative-epoch", "negative-adam-step"])
 def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)

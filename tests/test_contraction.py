@@ -209,8 +209,8 @@ def test_eta2_scale_invariant_for_biasfree_net():
 def _xi(net, x_star):
     """The analyzer's xi = forward(x_*) - x_*, and the norm its rows report."""
     op = MaskedFourierOperator(full_mask(16, 16))
-    traces, _ = analyze_trajectory(net, 1.0, op, [(x_star, op.apply(x_star))], 1)
-    return net.forward_and_masks(x_star)[0] - x_star, traces[0].rows[0].xi_norm
+    tr = analyze_trajectory(net, 1.0, op, x_star, op.apply(x_star), 1)
+    return net.forward_and_masks(x_star)[0] - x_star, tr.rows[0].xi_norm
 
 
 def test_xi_identity_net_is_zero():
@@ -313,7 +313,7 @@ def test_decomposition_rejects_noisy_measurements():
     noisy = y.copy()
     noisy[0] += 0.1
     with pytest.raises(ContractError):
-        analyze_trajectory(net, 0.5, op, [(x_star, noisy)], 1)
+        analyze_trajectory(net, 0.5, op, x_star, noisy, 1)
 
 
 def test_bound_slack_nonnegative_on_real_steps():
@@ -321,9 +321,8 @@ def test_bound_slack_nonnegative_on_real_steps():
     op = BoxDownsampleOperator(16, 16)
     x_star = random_complex_image(16, 16, seed=44)
     y = op.apply(x_star)
-    pairs = [(x_star, y)]
-    traces, _ = analyze_trajectory(net, 0.5, op, pairs, 5)
-    for row in traces[0].rows:
+    tr = analyze_trajectory(net, 0.5, op, x_star, y, 5)
+    for row in tr.rows:
         assert row.bound_slack >= -1e-5 * row.delta_norm
         assert row.decomp_residual <= 1e-4 * (row.err_next + 1.0)
 
@@ -333,8 +332,8 @@ def test_bound_slack_identity_consistent_both_sides_zero():
     op = MaskedFourierOperator(full_mask(16, 16))
     x_star = nonzero_complex_image(16, 16, seed=45)
     y = op.apply(x_star)
-    traces, _ = analyze_trajectory(net, 1.0, op, [(x_star, y)], 3)
-    for row in traces[0].rows:
+    tr = analyze_trajectory(net, 1.0, op, x_star, y, 3)
+    for row in tr.rows:
         assert row.nrmse <= 1e-5
         assert abs(row.bound_slack) <= 1e-4
 
@@ -388,30 +387,23 @@ def test_analyze_identity_consistent_nrmse_zero_after_first():
     op = MaskedFourierOperator(full_mask(16, 16))
     x_star = nonzero_complex_image(16, 16, seed=51)
     y = op.apply(x_star)
-    traces, agg = analyze_trajectory(net, 1.0, op, [(x_star, y)], 4)
-    for row in traces[0].rows:
+    tr = analyze_trajectory(net, 1.0, op, x_star, y, 4)
+    for row in tr.rows:
         assert row.nrmse <= 1e-5
-    assert len(agg) == 4
+    assert [row.t for row in tr.rows] == [1, 2, 3, 4]
 
 
-def test_analyze_untrained_net_trace_is_finite(tmp_path):
+def test_analyze_untrained_net_trace_is_finite():
     net = _chain_net(seed=52)
     op = BoxDownsampleOperator(16, 16)
-    xs = [random_complex_image(16, 16, seed=60 + i) for i in range(2)]
-    pairs = [(x, op.apply(x)) for x in xs]
-    traces, agg = analyze_trajectory(net, 0.5, op, pairs, 3, out_dir=tmp_path)
-    for tr in traces:
+    for i in range(2):
+        x = random_complex_image(16, 16, seed=60 + i)
+        tr = analyze_trajectory(net, 0.5, op, x, op.apply(x), 3)
         assert isinstance(tr, ContractionTrace)
         for row in tr.rows:
             for v in (row.nrmse, row.eta1, row.eta2, row.xi_norm,
                       row.decomp_residual, row.bound_slack):
                 assert np.isfinite(v)
-    assert (tmp_path / "aggregate.csv").exists()
-    assert (tmp_path / "trace_0000.csv").exists()
-    header = (tmp_path / "trace_0000.csv").read_text().splitlines()[0]
-    assert header == "t,nrmse,eta1,eta2,xi_norm,decomp_residual,bound_slack"
-    agg_header = (tmp_path / "aggregate.csv").read_text().splitlines()[0]
-    assert agg_header == "t,nrmse_mean,nrmse_std,eta1_mean,eta1_std,eta2_mean,eta2_std"
 
 
 def test_analyze_returns_final_iterate_and_its_masks():
@@ -421,11 +413,11 @@ def test_analyze_returns_final_iterate_and_its_masks():
     op = BoxDownsampleOperator(16, 16)
     x = random_complex_image(16, 16, seed=56)
     y = op.apply(x)
-    traces, _ = analyze_trajectory(net, 0.5, op, [(x, y)], 3)
+    tr = analyze_trajectory(net, 0.5, op, x, y, 3)
     x_final = unrolled_forward(net, op, y, 3, 0.5)[0][-1].value
     masks = capture_masks(net, gradient_step(x_final, y, 0.5, op))
-    assert np.array_equal(traces[0].x_final, x_final)
-    for got, want in zip(traces[0].masks_final.masks, masks.masks):
+    assert np.array_equal(tr.x_final, x_final)
+    for got, want in zip(tr.masks_final.masks, masks.masks):
         assert np.array_equal(got, want)
 
 
@@ -455,8 +447,8 @@ def test_analyze_matches_separate_forwards_bit_for_bit():
                            (relu, fourier, 0.7)):
         pairs = [(x, op.apply(x)) for x in
                  (random_complex_image(16, 16, seed=60 + i) for i in range(2))]
-        traces, _ = analyze_trajectory(net, alpha, op, pairs, 4)
-        for tr, (x_star, y) in zip(traces, pairs):
+        for x_star, y in pairs:
+            tr = analyze_trajectory(net, alpha, op, x_star, y, 4)
             rows, x_final, masks_final = _separate_forwards_analyze(net, alpha, op,
                                                                     x_star, y, 4)
             assert [repr(astuple(r)) for r in tr.rows] == [repr(astuple(r)) for r in rows]
@@ -471,7 +463,7 @@ def test_analyze_rejects_normalized_net():
     op = BoxDownsampleOperator(16, 16)
     x = random_complex_image(16, 16, seed=54)
     with pytest.raises(UnsupportedConfigError):
-        analyze_trajectory(net, 0.5, op, [(x, op.apply(x))], 2)
+        analyze_trajectory(net, 0.5, op, x, op.apply(x), 2)
 
 
 def test_bound_slack_formula():

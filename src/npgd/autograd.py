@@ -13,7 +13,10 @@ A tape is single-use. It keeps gradient slots and what backward reads (a
 conv's input or that input's ``rebuild``, a norm's xhat, a swish's slope,
 one bit per relu mask), and ``backward`` consumes it. A taped norm, gate or
 add sets ``rebuild`` on its output only: it returns a fresh array bit-equal
-to the value from forward-time arrays that some record keeps.
+to the value from forward-time arrays that some record keeps. A conv sets
+one only when its record keeps its input's value anyway (the input has no
+rebuild) and each output value costs at most ``REBUILD_MACS`` multiply-adds,
+so no rebuild recomputes a conv from another conv's rebuild.
 """
 
 from __future__ import annotations
@@ -264,6 +267,7 @@ def _im2col(v: np.ndarray, k: int) -> np.ndarray:
 BAND_BYTES = 512 << 10  # column bytes per band GEMM: a quarter of a 2 MiB L2 cache
 KERNEL_BAND_BYTES = 4 * BAND_BYTES  # kernel-VJP bands: longer GEMMs measured faster
 SMALL_GEMM = 100 ** 3  # MACs up to which OpenBLAS's small-matrix kernel rounds apart
+REBUILD_MACS = 32  # multiply-adds per output value up to which a conv output is rebuilt
 
 
 def _bands(units: int, size: int, rows: int, budget: int) -> int:
@@ -337,12 +341,15 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     _, h, w = v.shape
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d output would be empty for input {v.shape}")
-    w2 = kv.reshape(c_out, -1)
-    out = Variable(_conv_same(w2, v, k) + bias.value[:, None, None])
+    w2, b = kv.reshape(c_out, -1), bias.value[:, None, None]
+    out = Variable(_conv_same(w2, v, k) + b)
     if tape is not None:
         # the tape keeps the input or its rebuild, not the k*k times larger column
         # matrix; only the kernel VJP needs the columns, and it makes them
         src = x.rebuild or (lambda: v)  # never set on x: a leaf's value may change
+        if x.rebuild is None and c_in * k * k <= REBUILD_MACS:
+            # one GEMM from the v this record keeps anyway, so no rebuild chains convs
+            out.rebuild = lambda: np.add(_conv_same(w2, v, k), b)
         def vjp_x(g):
             if k == 1:
                 return (w2.T @ g.reshape(c_out, -1)).reshape(c_in, h, w)

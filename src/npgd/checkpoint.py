@@ -210,7 +210,9 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
         TrainConfig(iterations=values["unroll_t"], beta=values["beta"],
                     loss=values["loss"], seed=values["seed"])
     except ParameterError as exc:
-        raise FormatError(f"{origin}: {exc}") from None
+        name, _, rule = str(exc).partition(" ")  # TrainConfig leads with its field, not the entry
+        name = {"iterations": "unroll_t"}.get(name, name)
+        raise FormatError(f"{origin}: {name} {rule}") from None
     for key in ("epoch", "adam_step"):  # step counts, which no run leaves negative
         if values[key] < 0:
             raise FormatError(f"{origin}: {key} must be >= 0, got {values[key]}")

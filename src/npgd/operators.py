@@ -41,6 +41,10 @@ class LinearOperator:
         r = y - self.apply(x)
         return r, self.adjoint(r)
 
+    def direction(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """adjoint(y - apply(x)) alone: ``residual(x, y)[1]`` bit for bit."""
+        return self.residual(x, y)[1]
+
 
 def _check(x: np.ndarray, hw: tuple, what: str) -> None:
     """Raise ShapeError unless x ends in the (2, H, W) of one image."""
@@ -65,15 +69,22 @@ class MaskedFourierOperator(LinearOperator):
         _check(y, self.out_shape, "mf_adjoint")
         return ifft2(np.where(self.measured, y, np.float32(0)))
 
-    def residual(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The base pair bit for bit (y kept off the mask), in one round trip."""
+    def _round_trip(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Complex r = y - apply(x) and adjoint(r) from one masked FFT pair (y
+        kept off the mask): the base residual bit for bit, before to_planes."""
         _check(x, self.in_shape, "mf_apply")
         _check(y, self.out_shape, "mf_adjoint")
         r = to_complex(y) - np.where(self.measured, np.fft.fft2(to_complex(x), norm="ortho"),
                                      np.complex64(0))
         # not out=: numpy 2.4's ifft2 with out= returns wrong values
-        back = np.fft.ifft2(np.where(self.measured, r, np.complex64(0)), norm="ortho")
+        return r, np.fft.ifft2(np.where(self.measured, r, np.complex64(0)), norm="ortho")
+
+    def residual(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        r, back = self._round_trip(x, y)
         return to_planes(r), to_planes(back)
+
+    def direction(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return to_planes(self._round_trip(x, y)[1])  # r's planes are never formed
 
 
 class BoxDownsampleOperator(LinearOperator):
@@ -100,7 +111,7 @@ class BoxDownsampleOperator(LinearOperator):
 def gradient_step(x: np.ndarray, y: np.ndarray, alpha: float,
                   op: LinearOperator) -> np.ndarray:
     """One data-consistency step: x + alpha * adjoint(y - apply(x))."""
-    return x + np.float32(alpha) * op.residual(x, y)[1]
+    return x + np.float32(alpha) * op.direction(x, y)
 
 
 def preconditioned(op: LinearOperator, alpha: float, v: np.ndarray) -> np.ndarray:
@@ -112,7 +123,7 @@ def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
                            op: LinearOperator, direction: np.ndarray,
                            tape: Optional[Tape] = None) -> Variable:
     """Differentiable gradient step x + alpha * direction, where direction
-    is ``op.residual(x, y)[1]``; bit for bit :func:`gradient_step`.
+    is ``op.direction(x, y)``; bit for bit :func:`gradient_step`.
 
     Differentiates through x and, when alpha is a Variable, through the
     step size: the normal operator adjoint(apply(.)) is self-adjoint, so

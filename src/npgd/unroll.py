@@ -73,7 +73,7 @@ def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
     training cost and :func:`reconstruct`. With a tape, the trajectory is
     differentiable through the shared weights and alpha."""
     x_var = Variable(np.zeros((2,) + tuple(op.in_shape), np.float32))
-    direction = op.residual(x_var.value, y)[1]
+    direction = op.direction(x_var.value, y)
     iterates, residuals = [], []
     for _ in range(iterations):
         x_var = net.forward(gradient_step_channels(x_var, alpha, op, direction, tape), tape)

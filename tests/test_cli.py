@@ -809,17 +809,22 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
                    text + f"checkpoint_path = {out}/checkpoint.npgd\n")
             commands += [["train", "--config", f"{name}.cfg", "--out", out],
                          ["reconstruct", "--config", f"{out}.cfg", "--out", out]]
-        # a 32->32 3x3 64^2 conv runs in row bands, unlike every 16^2 layer
+        # a 32->32 3x3 64^2 conv runs in row bands, unlike every 16^2 layer; the
+        # resnet's cheap 64^2 convs (2->32 3x3, 32->32 1x1) write value and rebuild
         script = ("import sys\nfrom npgd.cli import main\n"
                   "from npgd.autograd import Tape, Variable, conv2d\n"
                   "import numpy as np\n"
                   "rng = np.random.default_rng(7)\n"
-                  "x, k, b, g = (Variable(rng.standard_normal(s).astype(np.float32)) for s in "
-                  "[(32, 64, 64), (32, 32, 3, 3), (32,), (32, 64, 64)])\n"
+                  "def var(s): return Variable(rng.standard_normal(s).astype(np.float32))\n"
+                  "x, k, b, g = map(var, [(32, 64, 64), (32, 32, 3, 3), (32,), (32, 64, 64)])\n"
                   "tape = Tape()\nout = conv2d(x, k, b, tape)\n"
                   f"with open('conv-{threads}.bin', 'wb') as fh:\n"
                   "    for a in [out.value] + [vjp(g.value) for _, vjp in tape._records[0][1]]:\n"
                   "        fh.write(a.tobytes())\n"
+                  f"with open('rebuild-{threads}.bin', 'wb') as fh:\n"
+                  "    for c, kk in [(2, 3), (32, 1)]:\n"
+                  "        cheap = conv2d(var((c, 64, 64)), var((32, c, kk, kk)), var(32), tape)\n"
+                  "        fh.write(cheap.value.tobytes() + cheap.rebuild().tobytes())\n"
                   f"sys.exit(any(main(argv) for argv in {commands!r}))")
         env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
@@ -829,6 +834,12 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
             assert (tmp_path / f"{name}-1" / file).read_bytes() == \
                 (tmp_path / f"{name}-3" / file).read_bytes(), (name, file)
     assert (tmp_path / "conv-1.bin").read_bytes() == (tmp_path / "conv-3.bin").read_bytes()
+    rebuilds = [(tmp_path / f"rebuild-{threads}.bin").read_bytes() for threads in ("1", "3")]
+    size = 32 * 64 * 64 * 4  # one conv output
+    assert rebuilds[0] == rebuilds[1] and len(rebuilds[0]) == 4 * size
+    for value_at in (0, 2 * size):  # each rebuild equals its value byte for byte
+        assert rebuilds[0][value_at:value_at + size] == \
+            rebuilds[0][value_at + size:value_at + 2 * size]
 
 
 # ---------------------------------------------------------------------------
@@ -878,34 +889,35 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     return w.finish()
 
 
-@pytest.mark.parametrize("blob, code", [
-    (_checkpoint_blob(dims=(0xFFFFFFFF,) * 4), 1),          # CorruptionError
-    (_checkpoint_blob(name=b"\xff\xfe"), 2),                # FormatError
-    (_checkpoint_blob(entries=_bad_key_entry(), n_entries=1), 2),
-    (_tiny_checkpoint_blob(num_res_blocks="one"), 2),
-    (_tiny_checkpoint_blob(unroll_t=0), 2),
-    (_tiny_checkpoint_blob(unroll_t=2.5), 2),
-    (_tiny_checkpoint_blob(loss="zz"), 2),
-    (_tiny_checkpoint_blob(beta=7.0), 2),
-    (_tiny_checkpoint_blob(repeat_entry="epoch"), 2),
-    (_tiny_checkpoint_blob(repeat_record="tail3.bias"), 2),
-    (_tiny_checkpoint_blob(arch="mlp"), 2),
+# a range error names the stored entry (unroll_t), not the config field it fills
+@pytest.mark.parametrize("blob, code, says", [
+    (_checkpoint_blob(dims=(0xFFFFFFFF,) * 4), 1, "truncated"),  # CorruptionError
+    (_checkpoint_blob(name=b"\xff\xfe"), 2, "not UTF-8"),       # FormatError
+    (_checkpoint_blob(entries=_bad_key_entry(), n_entries=1), 2, "not UTF-8"),
+    (_tiny_checkpoint_blob(num_res_blocks="one"), 2, "'num_res_blocks' is not int"),
+    (_tiny_checkpoint_blob(unroll_t=0), 2, ": unroll_t must be >= 1"),
+    (_tiny_checkpoint_blob(unroll_t=2.5), 2, "'unroll_t' is not int"),
+    (_tiny_checkpoint_blob(loss="zz"), 2, ": loss must be"),
+    (_tiny_checkpoint_blob(beta=7.0), 2, ": beta must lie"),
+    (_tiny_checkpoint_blob(repeat_entry="epoch"), 2, "duplicate config entry 'epoch'"),
+    (_tiny_checkpoint_blob(repeat_record="tail3.bias"), 2, "duplicate record 'tail3.bias'"),
+    (_tiny_checkpoint_blob(arch="mlp"), 2, "unknown arch 'mlp'"),
     (_tiny_checkpoint_blob(arch="chain", activation="swish", normalization="none",
-                           chain_kernel=4), 2),
-    (_tiny_checkpoint_blob(epoch=-5), 2),
-    (_tiny_checkpoint_blob(adam_step=-7), 2),
+                           chain_kernel=4), 2, ": chain_kernel must be odd"),
+    (_tiny_checkpoint_blob(epoch=-5), 2, ": epoch must be >= 0"),
+    (_tiny_checkpoint_blob(adam_step=-7), 2, ": adam_step must be >= 0"),
 ], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
         "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
         "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel",
         "negative-epoch", "negative-adam-step"])
-def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code):
+def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code, says):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)
     cfg_path = _write(tmp_path / "c.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")
     assert main(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"npgd: error: {ckpt}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert says in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("blob, code", [

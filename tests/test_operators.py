@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npgd.core import dot, fft2, ifft2, norm
 from npgd.errors import DimensionError, ShapeError
@@ -298,3 +299,46 @@ def test_residual_adjoint_bit_equal_to_two_passes(task, hw, n):
     assert np.array_equal(got, op.adjoint(y - op.apply(x)))
     assert resid.dtype == np.float32 and np.array_equal(resid, y - op.apply(x))
     assert np.array_equal(gradient_step(x, y, 0.7, op), x + np.float32(0.7) * want)
+
+
+# ---------------------------------------------------------------------------
+# properties of the data-consistency step over random operators and stacks
+
+
+@st.composite
+def _operator_case(draw):
+    """A random operator (a masked Fourier one over any sampling pattern, H
+    and W powers of two drawn apart, or a box one over even H and W), an
+    image or (N, 2, H, W) stack x and a measurement y nonzero off any mask."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        h, w = (2 ** draw(st.integers(0, 5)) for _ in range(2))
+        op = MaskedFourierOperator(SamplingMask(h, w, rng.random((h, w)) < draw(
+            st.floats(0.0, 1.0))))
+    else:
+        h, w = (2 * draw(st.integers(1, 12)) for _ in range(2))
+        op = BoxDownsampleOperator(h, w)
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    x = rng.standard_normal(lead + (2, h, w)).astype(np.float32)
+    y = rng.standard_normal(lead + (2,) + op.out_shape).astype(np.float32)
+    return op, x, y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_operator_case())
+def test_residual_and_direction_are_bit_equal_to_apply_then_adjoint(case):
+    op, x, y = case
+    r = y - op.apply(x)
+    resid, back = op.residual(x, y)
+    assert resid.dtype == back.dtype == np.float32
+    assert resid.shape == r.shape and resid.tobytes() == r.tobytes()
+    assert back.shape == x.shape and back.tobytes() == op.adjoint(r).tobytes()
+    assert op.direction(x, y).tobytes() == back.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_operator_case())
+def test_apply_and_adjoint_are_adjoint(case):
+    op, x, y = case
+    lhs, rhs = dot(op.apply(x), y), dot(x, op.adjoint(y))
+    assert abs(lhs - rhs) <= 1e-5 * norm(x) * norm(y)  # relative to the bound on both sides

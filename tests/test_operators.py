@@ -307,9 +307,10 @@ def test_residual_adjoint_bit_equal_to_two_passes(task, hw, n):
 
 @st.composite
 def _operator_case(draw):
-    """A random operator (a masked Fourier one over any sampling pattern, H
-    and W powers of two drawn apart, or a box one over even H and W), an
-    image or (N, 2, H, W) stack x and a measurement y nonzero off any mask."""
+    """A random operator (a masked Fourier one over any sampling pattern with
+    H and W powers of two drawn independently, or a box one over even H and
+    W), an image or (N, 2, H, W) stack x and a measurement y nonzero off any
+    mask."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         h, w = (2 ** draw(st.integers(0, 5)) for _ in range(2))

@@ -28,8 +28,9 @@ from typing import Dict, Tuple, get_type_hints
 
 import numpy as np
 
+from .autograd import Variable
 from .errors import CorruptionError, FormatError, NumericsError, ParameterError
-from .proxnet import ProximalConfig, ProximalNet, build
+from .proxnet import ProximalConfig, ProximalNet, param_shapes
 from .unroll import TrainConfig, TrainResult
 
 MAGIC = b"NPGD"
@@ -249,20 +250,22 @@ def load(path) -> Checkpoint:
 def restore_net(ck: Checkpoint) -> Tuple[ProximalNet, float]:
     """Rebuild the proximal net from a checkpoint; returns (net, alpha).
 
-    Rejects a parameter or step size that is not finite."""
-    net = build(ck.prox, seed=0)
-    expected, got = set(net.params), set(ck.params)
-    if expected != got:
-        raise FormatError(f"checkpoint parameters do not match config (missing "
-                          f"{sorted(expected - got)}, extra {sorted(got - expected)})")
-    for name, var in net.params.items():
-        stored = ck.params[name]
-        if stored.shape != var.value.shape:
-            raise FormatError(f"parameter {name}: shape {stored.shape} "
-                              f"vs expected {var.value.shape}")
+    Walks the config's parameters in ``build``'s order and stops at the
+    first stored one missing or misshapen, before any allocation; rejects
+    a parameter or step size that is not finite."""
+    params = {}
+    for name, shape in param_shapes(ck.prox):
+        stored = ck.params.get(name)
+        if stored is None:
+            raise FormatError(f"checkpoint has no parameter {name}, which its config needs")
+        if stored.shape != shape:
+            raise FormatError(f"parameter {name}: shape {stored.shape} vs expected {shape}")
         if not np.isfinite(stored).all():
             raise NumericsError(f"checkpoint parameter {name} is not finite")
-        var.value = stored.astype(np.float32)
+        params[name] = Variable(stored.astype(np.float32))
+    extra = sorted(ck.params.keys() - params.keys())
+    if extra:
+        raise FormatError(f"checkpoint parameters {extra} are not in its config")
     if not math.isfinite(ck.alpha):
         raise NumericsError(f"checkpoint step size alpha is not finite ({ck.alpha})")
-    return net, float(ck.alpha)
+    return ProximalNet(ck.prox, params), float(ck.alpha)

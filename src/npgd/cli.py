@@ -4,8 +4,8 @@
          --config <path> [--out <dir>]
 
 Every setting comes from the config file; --out, if given, replaces its
-out_dir. Exit codes: 0 success, 1 runtime/numeric failure, 2
-config/contract error, command-line errors included.
+out_dir. Exit codes: 0 success, 1 runtime/numeric failure, interrupt or
+out of memory, 2 config/contract error, command-line errors included.
 """
 
 from __future__ import annotations
@@ -69,16 +69,24 @@ def _keep_freed_memory() -> None:
 def main(argv=None) -> int:
     _keep_freed_memory()
     log = lambda msg: print(msg, flush=True)
+    command = "npgd"
     try:
         args = _build_parser().parse_args(argv)
+        command = args.command
         cfg = parse_config(args.config)
-        getattr(experiment, f"run_{args.command}")(cfg, args.out or cfg.out_dir, log)
+        getattr(experiment, f"run_{command}")(cfg, args.out or cfg.out_dir, log)
         return 0
     except NpgdError as exc:
         print(f"npgd: error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"npgd: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("npgd: error: interrupted", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"npgd: error: out of memory in {command}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,9 @@
 """Flat key-value experiment configuration.
 
 One ``key = value`` pair per line, ``#`` comments, no sections. Unknown
-keys are rejected. Every config class checks its ranges when it is
+keys are rejected. Each key sets one field, with one default: a field of
+``ExperimentConfig`` or of the ``ProximalConfig``, ``TrainConfig`` or
+``CsConfig`` it holds. Every config class checks its ranges when it is
 constructed, so a parsed file is in range before any compute starts. The
 documented key list lives in the README.
 """
@@ -9,7 +11,7 @@ documented key list lives in the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .baselines import CsConfig
@@ -22,9 +24,13 @@ from .unroll import TrainConfig
 
 # the config key of each sub-config field or mask_quota parameter not named like it
 _KEYS = {TrainConfig: {"iterations": "unroll_t", "seed": "train_seed"},
-         CsConfig: {"lam": "cs_lambda", "iterations": "cs_iterations",
-                    "solver": "cs_solver", "levels": "cs_levels"},
+         CsConfig: {"iterations": "cs_iterations", "solver": "cs_solver", "levels": "cs_levels"},
          mask_quota: {name: f"mask_{name}" for name in ("rate", "center_fraction", "decay")}}
+_SUBS = {"prox": ProximalConfig, "train": TrainConfig, "cs": CsConfig}
+# the (sub-config, field) of each routed key; cs_lambda or tuning sets CsConfig.lam
+_ROUTES = {_KEYS.get(cls, {}).get(f.name, f.name): (sub, f.name)
+           for sub, cls in _SUBS.items() for f in fields(cls)
+           if (cls, f.name) != (CsConfig, "lam")}
 
 
 def _naming_keys(fn, *args, **kwargs):
@@ -43,7 +49,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
 def _parse_float(raw: str) -> float:
@@ -68,26 +74,10 @@ class ExperimentConfig:
     mask_center_fraction: float = 0.04
     mask_decay: float = 3.0
     mask_seed: int = 1
-    unroll_t: int = 10
-    alpha_init: Optional[float] = None
-    beta: float = 0.75
-    loss: str = "l2"
-    lr: float = 1e-3
-    lr_halve_every: int = 10000
-    batch_size: int = 2
-    epochs: int = 10
-    train_seed: int = 3
-    arch: str = "resnet"
-    num_res_blocks: int = 1
-    feature_maps: int = 32
-    chain_layers: int = 3
-    chain_kernel: int = 9
-    activation: str = "relu"
-    normalization: str = "instance"
+    prox: ProximalConfig = field(default_factory=ProximalConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    cs: CsConfig = field(default_factory=CsConfig)
     cs_lambda: Optional[float] = None
-    cs_iterations: int = 300
-    cs_solver: str = "fista"
-    cs_levels: int = 3
     cs_grid_points: int = 8
     cs_val_images: int = 10
     sweep_grid: str = "1:1,3:1"
@@ -95,31 +85,9 @@ class ExperimentConfig:
     out_dir: str = "out"
     threads: int = 1
 
-    def _sub_config(self, cls, **given):
-        """A cls built from the config keys of its fields; given values win."""
-        keys = _KEYS.get(cls, {})
-        values = {f.name: getattr(self, keys.get(f.name, f.name)) for f in fields(cls)}
-        return _naming_keys(cls, **{**values, **given})
-
-    def prox_config(self) -> ProximalConfig:
-        return self._sub_config(ProximalConfig)
-
-    def train_config(self) -> TrainConfig:
-        # projection spectrum {0,1} makes alpha=1 exact for masked Fourier;
-        # the box operator's normal map has top eigenvalue 1/4, so the
-        # spectral step 4 replaces the measured component in one go
-        alpha = self.alpha_init
-        if alpha is None:
-            alpha = 1.0 if self.task == "mri" else 4.0
-        return self._sub_config(TrainConfig, alpha_init=alpha)
-
-    def cs_config(self) -> CsConfig:
-        """The solver settings; lam is a placeholder when cs_lambda is unset
-        and gets tuned."""
-        return self._sub_config(CsConfig, lam=self.cs_lambda or 1.0)
-
     def __post_init__(self) -> None:
-        """Range checks that no sub-config owns, then each sub-config's own."""
+        """Range checks that no sub-config owns, and the cross-checks
+        against the sub-configs, each of which checked its own ranges."""
         if self.task not in ("mri", "sr"):
             raise ConfigError(f"task must be mri or sr, got {self.task!r}")
         n = self.image_size
@@ -149,14 +117,12 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         cells = parse_sweep_grid(self.sweep_grid)
-        if self.arch == "chain" and any(rb != 1 for _, rb in cells):
+        if self.prox.arch == "chain" and any(rb != 1 for _, rb in cells):
             raise ConfigError(f"sweep_grid {self.sweep_grid!r}: a chain has no "
                               f"residual blocks, so every cell's RB must be 1")
-        for make in (self.prox_config, self.train_config, self.cs_config):
-            make()
-        if self.cs_levels >= n.bit_length():  # each Haar level halves the image
+        if self.cs.levels >= n.bit_length():  # each Haar level halves the image
             raise ConfigError(f"image_size {n} is not divisible by 2^cs_levels "
-                              f"= 2^{self.cs_levels}")
+                              f"= 2^{self.cs.levels}")
 
 
 def _value_parser(annotation) -> Callable[[str], object]:
@@ -170,8 +136,10 @@ def _value_parser(annotation) -> Callable[[str], object]:
     return parsers[annotation]
 
 
-_PARSERS = {name: _value_parser(tp)
-            for name, tp in get_type_hints(ExperimentConfig).items()}
+_PARSERS = {**{name: _value_parser(tp) for name, tp in get_type_hints(ExperimentConfig).items()
+               if name not in _SUBS},
+            **{key: _value_parser(get_type_hints(_SUBS[sub])[name])
+               for key, (sub, name) in _ROUTES.items()}}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -191,7 +159,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value {raw!r} for {key!r}") from None
-    return ExperimentConfig(**values)
+    # TrainConfig's alpha_init of 1.0 is exact for masked Fourier, whose normal
+    # map is a projection; the box operator's top eigenvalue 1/4 asks for 4
+    if values.get("task") == "sr":
+        values.setdefault("alpha_init", 4.0)
+    subs = {sub: {} for sub in _SUBS}
+    for key in values.keys() & _ROUTES.keys():
+        sub, name = _ROUTES[key]
+        subs[sub][name] = values.pop(key)
+    return ExperimentConfig(**values, **{sub: _naming_keys(cls, **subs[sub])
+                                         for sub, cls in _SUBS.items()})
 
 
 def parse_config(path) -> ExperimentConfig:

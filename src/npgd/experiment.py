@@ -20,7 +20,7 @@ from .baselines import default_lambda_grid, fista, ista, tune_lambda
 from .config import ExperimentConfig, parse_sweep_grid
 from .contraction import analyze_trajectory, debias
 from .core import magnitude, norm
-from .errors import ConfigError, NumericsError, ParameterError
+from .errors import ConfigError, FormatError, NumericsError, ParameterError
 from .metrics import nrmse, snr_db, ssim
 from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
 from .pgm import read_pgm, write_pgm16
@@ -245,11 +245,10 @@ def run_gendata(cfg: ExperimentConfig, out_dir: str, log) -> None:
 def run_train(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, _, op = _setup(cfg)
-    train_cfg = cfg.train_config()
-    result = train(train_set, op, train_cfg, cfg.prox_config(),
-                   _measure(cfg, op, train_set, TRAIN), log=log)
+    result = train(train_set, op, cfg.train, cfg.prox, _measure(cfg, op, train_set, TRAIN),
+                   log=log)
     ckpt_path = os.path.join(out_dir, "checkpoint.npgd")
-    ckpt_io.save(ckpt_io.from_training(result, train_cfg), ckpt_path)
+    ckpt_io.save(ckpt_io.from_training(result, cfg.train), ckpt_path)
     write_trace_csv(result.trace, os.path.join(out_dir, "loss_trace.csv"))
     log(f"trained in {result.seconds:.1f}s, final loss {result.trace[-1][3]:.6g}")
     log(f"checkpoint: {ckpt_path}")
@@ -259,7 +258,10 @@ def _load_checkpoint(cfg: ExperimentConfig):
     if cfg.checkpoint_path is None:
         raise ConfigError("checkpoint_path is required for this command")
     ck = ckpt_io.load(cfg.checkpoint_path)
-    net, alpha = ckpt_io.restore_net(ck)
+    try:
+        net, alpha = ckpt_io.restore_net(ck)
+    except FormatError as exc:  # restore_net holds the checkpoint, not its file
+        raise FormatError(f"{cfg.checkpoint_path}: {exc}") from None
     return ck, net, alpha
 
 
@@ -287,14 +289,14 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
     train_set, test_set, op = _setup(cfg)
     pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
-    cs = cfg.cs_config()
-    if cfg.cs_lambda is None:
+    lam = cfg.cs_lambda
+    if lam is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
         ys_val = _measure(cfg, op, val, VALIDATION)
-        grid = default_lambda_grid(ys_val, op, cfg.cs_levels, points=cfg.cs_grid_points)
-        lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
-        cs = replace(cs, lam=lam)
-        log(f"tuned lambda = {cs.lam:.6g}")
+        grid = default_lambda_grid(ys_val, op, cfg.cs.levels, points=cfg.cs_grid_points)
+        lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cfg.cs)
+        log(f"tuned lambda = {lam:.6g}")
+    cs = replace(cfg.cs, lam=lam)
     solve = fista if cs.solver == "fista" else ista
     # the held-out set is one batch; threads does not apply
     t0 = time.perf_counter()
@@ -351,11 +353,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, log) -> None:
     train_set, test_set, op = _setup(cfg)
     ys_train = _measure(cfg, op, train_set, TRAIN)
     test_pairs = list(zip(test_set, _measure(cfg, op, test_set, HELD_OUT)))
-    prox_cfg, train_cfg = cfg.prox_config(), cfg.train_config()
     rows = []
     for t, rb in cells:
-        result = train(train_set, op, replace(train_cfg, iterations=t),
-                       replace(prox_cfg, num_res_blocks=rb), ys_train, log=log)
+        result = train(train_set, op, replace(cfg.train, iterations=t),
+                       replace(cfg.prox, num_res_blocks=rb), ys_train, log=log)
         solved, infer_seconds = _reconstruct_all(result.net, float(result.alpha.value), op,
                                                  t, test_pairs, cfg.threads)
         eval_rows, _ = _evaluate(op, test_pairs, [xhat for xhat, _ in solved])

@@ -59,7 +59,10 @@ def _tokenize_header(blob: bytes, path):
                     rng = (float(m.group(1)), float(m.group(2)))
                 except ValueError:
                     raise FormatError(f"{path}: malformed PGM range comment") from None
-                if not np.all(np.isfinite(rng)):
+                # decoded values lie between the ends, which float32 must hold
+                with np.errstate(over="ignore"):
+                    finite = np.isfinite(np.float32(rng)).all()
+                if not finite:
                     raise FormatError(f"{path}: non-finite PGM range {rng[0]} {rng[1]}")
             pos = eol + 1
         else:

@@ -17,9 +17,10 @@ affine (the basis of the contraction diagnostics).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -162,6 +163,33 @@ class ProximalNet:
         return self._walk(Variable(x), frozen=snapshot).value
 
 
+def param_shapes(config: ProximalConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of every parameter of the net, in the order ``build``
+    draws them; lazy, so a caller can stop at a mismatch before allocating."""
+    def conv(name, c_in, c_out, k):
+        yield f"{name}.kernel", (c_out, c_in, k, k)
+        yield f"{name}.bias", (c_out,)
+
+    f = config.feature_maps
+    if config.arch == "chain":
+        layers = config.chain_layers
+        for i in range(1, layers + 1):  # 2 channels in and out, f between
+            yield from conv(f"layer{i}", 2 if i == 1 else f, 2 if i == layers else f,
+                            config.chain_kernel)
+        return
+    yield from conv("head", 2, f, 3)
+    for i in range(1, config.num_res_blocks + 1):
+        yield from conv(f"rb{i}.conv1", f, f, 3)
+        yield from conv(f"rb{i}.conv2", f, f, 3)
+        if config.normalization == "instance":
+            for norm in (f"rb{i}.norm1", f"rb{i}.norm2"):
+                yield f"{norm}.gamma", (f,)
+                yield f"{norm}.beta", (f,)
+    yield from conv("tail1", f, f, 1)
+    yield from conv("tail2", f, f, 1)
+    yield from conv("tail3", f, 2, 1)
+
+
 def build(config: ProximalConfig, seed: int = 0,
           zero_init_output: bool = True) -> ProximalNet:
     """Construct a net with He-normal kernels (variance 2/fan_in), zero biases.
@@ -172,37 +200,14 @@ def build(config: ProximalConfig, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     params: Dict[str, Variable] = {}
-
-    def conv(name, c_in, c_out, k):
-        fan_in = c_in * k * k
-        params[f"{name}.kernel"] = Variable(
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), (c_out, c_in, k, k)).astype(np.float32))
-        params[f"{name}.bias"] = Variable(np.zeros(c_out, np.float32))
-
-    def norm(name, c):
-        params[f"{name}.gamma"] = Variable(np.ones(c, np.float32))
-        params[f"{name}.beta"] = Variable(np.zeros(c, np.float32))
-
-    f = config.feature_maps
-    if config.arch == "chain":
-        layers = config.chain_layers
-        for i in range(1, layers + 1):  # 2 channels in and out, f between
-            conv(f"layer{i}", 2 if i == 1 else f, 2 if i == layers else f, config.chain_kernel)
-    else:
-        conv("head", 2, f, 3)
-        for i in range(1, config.num_res_blocks + 1):
-            conv(f"rb{i}.conv1", f, f, 3)
-            conv(f"rb{i}.conv2", f, f, 3)
-            if config.normalization == "instance":
-                norm(f"rb{i}.norm1", f)
-                norm(f"rb{i}.norm2", f)
-        conv("tail1", f, f, 1)
-        conv("tail2", f, f, 1)
-        conv("tail3", f, 2, 1)
-    if zero_init_output:
-        out_name = (f"layer{config.chain_layers}" if config.arch == "chain"
-                    else "tail3")
-        params[f"{out_name}.kernel"].value[:] = 0.0
+    for name, shape in param_shapes(config):
+        if name.endswith(".kernel"):  # fan_in = c_in * k * k
+            value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+        else:  # a norm's gamma starts at one, every other vector at zero
+            value = np.full(shape, 1.0 if name.endswith(".gamma") else 0.0)
+        params[name] = Variable(value.astype(np.float32))
+    if zero_init_output:  # the output conv's kernel is the last one drawn
+        params[[name for name in params if name.endswith(".kernel")][-1]].value[:] = 0.0
     return ProximalNet(config, params)
 
 

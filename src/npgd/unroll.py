@@ -42,7 +42,7 @@ class TrainConfig:
     lr_halve_every: int = 10000
     batch_size: int = 2
     epochs: int = 10
-    seed: int = 0
+    seed: int = 3
 
     def __post_init__(self) -> None:
         if self.iterations < 1:

@@ -118,17 +118,41 @@ def test_out_of_range_value_exits_2_before_compute(tmp_path, capsys, line):
     assert not out.exists()
 
 
-def test_readme_lists_every_config_key():
-    from dataclasses import fields
-
-    from npgd.config import ExperimentConfig
+def _readme_config_keys():
+    """The keys of the README's configuration table."""
     with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     section = readme.split("### Configuration files")[1]
     table = section[section.index("| group"):].split("\n\n")[0]
-    keys = [key for row in table.splitlines()[2:]
+    return [key for row in table.splitlines()[2:]
             for key in re.findall(r"`([a-z_]+)`", row.split("|")[2])]
-    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def _setting(cfg, key):
+    """(the config object that holds key's setting, the field that does)."""
+    from npgd.config import _ROUTES
+    sub, name = _ROUTES.get(key, (None, key))
+    return (cfg if sub is None else getattr(cfg, sub)), name
+
+
+def test_readme_lists_every_config_key():
+    from npgd.config import _PARSERS
+    assert sorted(_readme_config_keys()) == sorted(_PARSERS)
+
+
+def test_every_readme_key_resolves_to_exactly_one_field():
+    from dataclasses import fields
+
+    from npgd.config import _ROUTES
+    cfg, subs = ExperimentConfig(), ("prox", "train", "cs")
+    # every field a file sets: the experiment's own, and each sub-config's
+    # but CsConfig.lam, which cs_lambda or tuning sets
+    settable = {(None, f.name) for f in fields(cfg) if f.name not in subs}
+    settable |= {(sub, f.name) for sub in subs for f in fields(getattr(cfg, sub))}
+    settable.remove(("cs", "lam"))
+    targets = [_ROUTES.get(key, (None, key)) for key in _readme_config_keys()]
+    assert len(set(targets)) == len(targets)  # no two keys set one field
+    assert set(targets) == settable
 
 
 def test_readme_synopsis_lists_every_cli_option():
@@ -159,24 +183,24 @@ def test_command_line_error_is_one_line_exit_2(capsys, argv, message):
 
 
 def test_every_key_parses_to_its_annotated_type():
-    from dataclasses import fields
     from typing import get_type_hints
 
-    from npgd.config import ExperimentConfig
-    hints = get_type_hints(ExperimentConfig)
+    from npgd.config import _PARSERS
     given = {"alpha_init": ("2", float), "cs_lambda": ("1", float),
              "data_dir": ("some/dir", str), "checkpoint_path": ("m.npgd", str),
              "phantom_phase": ("yes", bool)}
-    for f in fields(ExperimentConfig):
-        if f.name in given:
-            text, want = given[f.name]
+    for key in _PARSERS:
+        owner, name = _setting(ExperimentConfig(), key)
+        if key in given:
+            text, want = given[key]
         else:
-            want = hints[f.name]
+            want = get_type_hints(type(owner))[name]
+            default = getattr(owner, name)
             # whole-valued float defaults are written without a decimal point
-            text = (str(int(f.default)) if want is float and f.default == int(f.default)
-                    else str(f.default))
-        value = getattr(parse_config_text(f"{f.name} = {text}"), f.name)
-        assert type(value) is want, (f.name, text, value)
+            text = (str(int(default)) if want is float and default == int(default)
+                    else str(default))
+        value = getattr(_setting(parse_config_text(f"{key} = {text}"), key)[0], name)
+        assert type(value) is want, (key, text, value)
     assert parse_config_text("phantom_phase = off").phantom_phase is False
 
 
@@ -191,7 +215,7 @@ def test_unmappable_annotation_fails_loudly():
 
 def test_comments_and_blanks_ignored():
     cfg = parse_config_text("# a comment\n\nepochs = 3  # trailing\n")
-    assert cfg.epochs == 3
+    assert cfg.train.epochs == 3
 
 
 def test_sweep_grid_parsing():
@@ -316,6 +340,50 @@ def test_pgm_errors(tmp_path):
         read_pgm(trunc)
 
 
+# range ends a header may carry: in range, at float32's edge, beyond float32
+# or float64, infinite and not a number, then any float's text
+_RANGE_ENDS = st.sampled_from(["0", "1", "-0.5", "3.40282347e38", "-3.4e38", "1e39",
+                               "-1e308", "1e308", "1e999", "inf", "-inf", "nan"]) \
+    | st.floats().map(repr)
+
+
+def _fuzzed_pgm(data) -> bytes:
+    """A valid P2 or P5 file at 8 or 16 bits, with or without a range
+    comment, of drawn size, maxval and range ends, then with byte flips and
+    perhaps cut short."""
+    magic = data.draw(st.sampled_from([b"P2", b"P5"]))
+    maxval = data.draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    samples = data.draw(st.lists(st.integers(0, maxval), min_size=w * h, max_size=w * h))
+    header = magic + b"\n"
+    if data.draw(st.booleans()):
+        header += f"# range {data.draw(_RANGE_ENDS)} {data.draw(_RANGE_ENDS)}\n".encode()
+    header += f"{w} {h}\n{maxval}\n".encode()
+    if magic == b"P2":
+        raster = " ".join(map(str, samples)).encode() + b"\n"
+    else:
+        raster = np.array(samples, ">u2" if maxval > 255 else np.uint8).tobytes()
+    blob = bytearray(header + raster)
+    for _ in range(data.draw(st.integers(0, 3))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.booleans()):
+        del blob[data.draw(st.integers(0, len(blob))):]
+    return bytes(blob)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(st.data())
+def test_fuzzed_pgm_reads_finite_float32_or_raises_npgd_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
+    path.write_bytes(_fuzzed_pgm(data))
+    try:
+        plane = read_pgm(path)
+    except NpgdError:
+        return
+    assert plane.dtype == np.float32 and plane.ndim == 2
+    assert np.isfinite(plane).all()
+
+
 # ---------------------------------------------------------------------------
 # phantoms
 
@@ -369,6 +437,31 @@ def test_gendata_zero_images_exits_2(tmp_path):
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = _write(tmp_path / "c.cfg", "wibble = 1\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bad_boolean_names_its_file_line_and_key(tmp_path, capsys):
+    cfg = _write(tmp_path / "e.cfg", "phantom_phase = maybe\n" + TINY_MRI)
+    assert main(["gendata", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"npgd: error: {cfg}:1: bad value 'maybe' for 'phantom_phase'\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (KeyboardInterrupt, "npgd: error: interrupted\n"),
+    (MemoryError, "npgd: error: out of memory in gendata\n"),
+], ids=["interrupt", "out-of-memory"])
+def test_interrupt_and_out_of_memory_end_in_one_line_exit_1(tmp_path, capsys, monkeypatch,
+                                                             error, line):
+    from npgd import experiment
+
+    def raise_error(*args):
+        raise error
+
+    monkeypatch.setattr(experiment, "run_gendata", raise_error)
+    cfg = _write(tmp_path / "c.cfg", TINY_MRI)
+    assert main(["gendata", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -547,7 +640,7 @@ def test_chain_sweep_cell_with_res_blocks_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("npgd: error: sweep_grid") and err.count("\n") == 1
     assert not out.exists()
-    assert parse_config_text(TINY_CHAIN + "sweep_grid = 1:1,3:1\n").arch == "chain"
+    assert parse_config_text(TINY_CHAIN + "sweep_grid = 1:1,3:1\n").prox.arch == "chain"
 
 
 def test_divergent_training_exits_1(tmp_path):
@@ -678,7 +771,7 @@ def test_reconstruct_writes_residuals(tmp_path):
     op = build_operator(cfg)
     expected = []
     for i, x_true in enumerate(test_set):
-        _, residuals = reconstruct(net, alpha, op, op.apply(x_true), cfg.unroll_t)
+        _, residuals = reconstruct(net, alpha, op, op.apply(x_true), cfg.train.iterations)
         expected += [f"{i},{t},{r:.9g}" for t, r in enumerate(residuals, start=1)]
     assert len(expected) == 2 * 2
     assert lines[1:] == expected
@@ -719,6 +812,31 @@ lr = 3e-4
 epochs = 2
 batch_size = 2
 """
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("text, alpha", [
+    (TINY_MRI, 1.0),
+    (TINY_CHAIN.replace("alpha_init = 4.0\n", ""), 4.0),
+], ids=["mri", "sr"])
+def test_omitted_alpha_init_trains_from_the_task_step(tmp_path, monkeypatch, text, alpha):
+    from npgd import experiment
+    seen = []
+
+    def stop_at_train(images, op, train_cfg, *args, **kwargs):
+        seen.append(train_cfg.alpha_init)
+        raise _Stop
+
+    monkeypatch.setattr(experiment, "train", stop_at_train)
+    assert "alpha_init" not in text
+    with pytest.raises(_Stop):
+        experiment.run_train(parse_config_text(text), str(tmp_path), lambda line: None)
+    assert seen == [alpha]
+    # a written alpha_init wins for either task
+    assert parse_config_text(text + "alpha_init = 2.5\n").train.alpha_init == 2.5
 
 
 def test_analyze_writes_traces_and_debias(tmp_path):
@@ -869,7 +987,7 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     from dataclasses import asdict
 
     from npgd.proxnet import build
-    prox = parse_config_text(TINY_MRI).prox_config()
+    prox = parse_config_text(TINY_MRI).prox
     values = dict(asdict(prox), unroll_t=2, beta=0.75, loss="l2", seed=0, epoch=0,
                   adam_step=0)
     values.update(entries)
@@ -906,10 +1024,14 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
                            chain_kernel=4), 2, ": chain_kernel must be odd"),
     (_tiny_checkpoint_blob(epoch=-5), 2, ": epoch must be >= 0"),
     (_tiny_checkpoint_blob(adam_step=-7), 2, ": adam_step must be >= 0"),
+    # configs whose nets no memory holds: each stops at its first parameter
+    # that the stored records do not match, before any array is allocated
+    (_tiny_checkpoint_blob(feature_maps=2**62), 2, "parameter head.kernel: shape"),
+    (_tiny_checkpoint_blob(num_res_blocks=2**62), 2, "no parameter rb2.conv1.kernel"),
 ], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
         "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
         "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel",
-        "negative-epoch", "negative-adam-step"])
+        "negative-epoch", "negative-adam-step", "huge-feature-maps", "huge-res-blocks"])
 def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code, says):
     ckpt = tmp_path / "bad.npgd"
     ckpt.write_bytes(blob)
@@ -927,8 +1049,9 @@ def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code, says):
     (b"P5\n-8 -8\n255\n\0", 2),
     (b"P2\n-8 -8\n255\n1\n", 2),
     (b"P5\n0 4\n255\n", 2),
+    (b"P2\n# range -1e308 1e308\n2 1\n255\n0 255\n", 2),    # decodes beyond float32
 ], ids=["p2-non-numeric-sample", "range-comment-not-numbers", "range-not-finite",
-        "p5-negative-size", "p2-negative-size", "p5-zero-width"])
+        "p5-negative-size", "p2-negative-size", "p5-zero-width", "range-beyond-float32"])
 def test_malformed_pgm_exits_cleanly(tmp_path, capsys, blob, code):
     data = tmp_path / "data"
     data.mkdir()
@@ -1002,14 +1125,14 @@ def test_reconstruct_rejects_non_finite_checkpoint(tmp_path, capsys, slot):
     from npgd.config import parse_config_text
     from npgd.proxnet import build
     cfg = parse_config_text(TINY_MRI)
-    params = {k: v.value.copy() for k, v in build(cfg.prox_config(), seed=0).params.items()}
+    params = {k: v.value.copy() for k, v in build(cfg.prox, seed=0).params.items()}
     alpha = 1.0
     if slot == "alpha":
         alpha = float("inf")
     else:
         params[slot].flat[3] = np.nan
     ckpt = tmp_path / "nan.npgd"
-    checkpoint.save(checkpoint.Checkpoint(prox=cfg.prox_config(), unroll_t=cfg.unroll_t,
+    checkpoint.save(checkpoint.Checkpoint(prox=cfg.prox, unroll_t=cfg.train.iterations,
                                           beta=0.75, loss="l2", alpha=alpha,
                                           params=params), ckpt)
     rec_cfg = _write(tmp_path / "r.cfg", TINY_MRI + f"checkpoint_path = {ckpt}\n")

@@ -1,10 +1,10 @@
 """Compressed-sensing wavelet baseline: orthonormal Haar pyramid,
 magnitude soft-thresholding, ISTA and FISTA solvers.
 
-Everything here takes one (2, H, W) image or an (N, 2, H, W) stack, and a
-stack is solved as one batch: each image has its own lambda, its own
-objective trace and its own divergence check, and its iterates are bit for
-bit those of solving it alone.
+The solvers take an (N, 2, H, W) stack of measurements and solve it as one
+batch: each image has its own lambda, its own objective trace and its own
+divergence check, and its iterates are bit for bit those of solving it in a
+stack of one. The Haar pyramid and the shrinkage also act on one image.
 
 The solvers minimize 0.5 * ||y - apply(x)||^2 + lambda * ||W x||_1 where W
 is the per-channel Haar transform and the l1 norm sums complex coefficient
@@ -16,12 +16,12 @@ have norm <= 1; this is verified numerically at solver startup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import magnitude, norm
-from .errors import DimensionError, ParameterError, SolverError
+from .errors import DimensionError, ParameterError, ShapeError, SolverError
 from .metrics import snr_db
 from .operators import LinearOperator, gradient_step, power_iteration
 
@@ -30,14 +30,11 @@ _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class CsConfig:
-    lam: float = 0.01
     iterations: int = 300
     solver: str = "fista"
     levels: int = 3
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0:
-            raise ParameterError("lambda must be >= 0")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
         if self.solver not in ("ista", "fista"):
@@ -100,14 +97,24 @@ def haar2_inverse(c: np.ndarray, levels: int) -> np.ndarray:
 # proximal map
 
 
+def _lambdas(lam) -> np.ndarray:
+    lam = np.asarray(lam, np.float64)
+    if not (np.isfinite(lam) & (lam >= 0)).all():
+        raise ParameterError("lambda must be finite and >= 0")
+    return lam
+
+
+def _check_stack(ys: np.ndarray) -> None:
+    if np.ndim(ys) != 4:
+        raise ShapeError(f"expected an (N, 2, H, W) stack, got shape {np.shape(ys)}")
+
+
 def soft_threshold(v: np.ndarray, lam) -> np.ndarray:
     """Proximal map of lam * ||.||_1 on a (2, H, W) image or an (N, 2, H, W)
     stack: each (re, im) pair shrinks by its magnitude. lam is one
     threshold, or one per image of a stack. With a zero imaginary plane this
     is the real shrinkage sign(v) * max(|v| - lam, 0)."""
-    lam = np.asarray(lam, np.float64)
-    if np.any(lam < 0):
-        raise ParameterError("threshold must be >= 0")
+    lam = _lambdas(lam)
     mag = magnitude(v)
     factor = mag - lam[..., None, None]
     np.maximum(factor, 0.0, out=factor)
@@ -115,23 +122,19 @@ def soft_threshold(v: np.ndarray, lam) -> np.ndarray:
     return v * factor.astype(np.float32)[..., None, :, :]
 
 
-def cs_objective(x: np.ndarray, y: np.ndarray, op: LinearOperator,
-                 lam, levels: int, coeffs: Optional[np.ndarray] = None):
-    """(objective, data_term, l1_term) of a (2, H, W) image; for an
-    (N, 2, H, W) stack, with one lam per image, a list of one such triple
-    per image. coeffs, shaped like x, stands in for haar2_forward(x, levels):
-    shrunk coefficients c with x = W^T c have ||c||_1 = ||W x||_1 up to roundoff."""
-    stack = np.ndim(x) == 4
-    xs, ys, lams = (x, y, lam) if stack else (x[None], y[None], [lam])
-    resid = ys - op.apply(xs)
-    mags = magnitude(haar2_forward(xs, levels) if coeffs is None
-                     else np.reshape(coeffs, xs.shape))
+def cs_objective(xs: np.ndarray, ys: np.ndarray, op: LinearOperator,
+                 lams: Sequence[float], coeffs: np.ndarray):
+    """One (objective, data_term, l1_term) per image of an (N, 2, H, W)
+    stack, image i weighted by lams[i]. coeffs, shaped like xs, are the Haar
+    coefficients of xs: haar2_forward's, or the shrunk c that the solver
+    built x = W^T c from, whose ||c||_1 = ||W x||_1 up to roundoff."""
+    _check_stack(ys)
     terms = []
-    for r, m, lam_i in zip(resid, mags, lams):
+    for r, m, lam in zip(ys - op.apply(xs), magnitude(coeffs), lams):
         data = 0.5 * norm(r) ** 2
-        l1 = float(lam_i) * float(np.sum(m))
+        l1 = float(lam) * float(np.sum(m))
         terms.append((data + l1, data, l1))
-    return terms if stack else terms[0]
+    return terms
 
 
 def _solver_step_size(op: LinearOperator) -> float:
@@ -147,22 +150,19 @@ def _prox_step(x: np.ndarray, y: np.ndarray, op: LinearOperator,
     return haar2_inverse(c, levels), c
 
 
-def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
-           lams: Optional[Sequence[float]], momentum: bool):
+def _solve(ys: np.ndarray, op: LinearOperator, cfg: CsConfig,
+           lams: Sequence[float], momentum: bool):
     """The one proximal-gradient loop behind ista (momentum off) and fista."""
-    stack = np.ndim(y) == 4
-    ys = y if stack else y[None]
-    lams = np.full(len(ys), float(cfg.lam)) if lams is None else np.array(lams, np.float64)
+    _check_stack(ys)
+    lams = _lambdas(lams)
     if lams.shape != (len(ys),):
         raise ParameterError(f"{lams.size} lambdas for {len(ys)} images")
-    if np.any(lams < 0):
-        raise ParameterError("lambda must be >= 0")
     name = "FISTA" if momentum else "ISTA"
     alpha = _solver_step_size(op)
     x = np.zeros((len(ys), 2) + tuple(op.in_shape), np.float32)
     z = x
     t_k = 1.0
-    start = [row[0] for row in cs_objective(x, ys, op, lams, cfg.levels)]
+    start = [row[0] for row in cs_objective(x, ys, op, lams, x)]  # x = 0 = W x
     traces = [[] for _ in ys]
     for it in range(1, cfg.iterations + 1):
         x_next, coeffs = _prox_step(z, ys, op, alpha, lams, cfg.levels)
@@ -174,25 +174,19 @@ def _solve(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
         else:
             z = x_next
         x = x_next
-        for i, row in enumerate(cs_objective(x, ys, op, lams, cfg.levels, coeffs)):
+        for i, row in enumerate(cs_objective(x, ys, op, lams, coeffs)):
             traces[i].append((it,) + row)
             if start[i] > 0 and row[0] > 10.0 * start[i]:
-                where = f"image {i}, " if stack else ""
-                raise SolverError(f"{name} diverged at {where}iteration {it} "
+                raise SolverError(f"{name} diverged at image {i}, iteration {it} "
                                   f"(objective {row[0]:.3g} vs start {start[i]:.3g})")
-    return (x, traces) if stack else (x[0], traces[0])
+    return x, traces
 
 
-def ista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
-         lams: Optional[Sequence[float]] = None):
-    """Proximal gradient iterations from x = 0 on a (2, h, w) measurement,
-    or on an (N, 2, h, w) stack of them solved as one batch.
-
-    Each image uses cfg.lam, or its own entry of lams. Returns the estimate
-    and its trace rows (iter, objective, data_term, l1_term); for a stack,
-    the (N, 2, H, W) estimates and one trace per image.
-    """
-    return _solve(y, op, cfg, lams, momentum=False)
+def ista(ys: np.ndarray, op: LinearOperator, cfg: CsConfig, lams: Sequence[float]):
+    """Proximal gradient iterations from x = 0 on an (N, 2, h, w) stack of
+    measurements, image i with lambda lams[i]. Returns the (N, 2, H, W)
+    estimates and one trace of (iter, objective, data_term, l1_term) per image."""
+    return _solve(ys, op, cfg, lams, momentum=False)
 
 
 def nesterov_next_t(t: float) -> float:
@@ -200,11 +194,10 @@ def nesterov_next_t(t: float) -> float:
     return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
 
 
-def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
-          lams: Optional[Sequence[float]] = None):
+def fista(ys: np.ndarray, op: LinearOperator, cfg: CsConfig, lams: Sequence[float]):
     """ISTA with Nesterov momentum starting from t_0 = 1; same arguments
     and results as :func:`ista`."""
-    return _solve(y, op, cfg, lams, momentum=True)
+    return _solve(ys, op, cfg, lams, momentum=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +207,11 @@ def fista(y: np.ndarray, op: LinearOperator, cfg: CsConfig,
 GRID_LO, GRID_HI = 1e-4, 1e-1  # the lambda grid's ends, relative to the peak
 
 
-def default_lambda_grid(ys: Sequence[np.ndarray], op: LinearOperator,
-                        levels: int, points: int = 8) -> List[float]:
+def default_lambda_grid(ys: np.ndarray, op: LinearOperator,
+                        levels: int, points: int) -> List[float]:
     """Logarithmic grid from GRID_LO to GRID_HI times the peak coefficient
-    magnitude of the zero-filled estimates."""
-    peak = 0.0
-    for y in ys:
-        peak = max(peak, float(magnitude(haar2_forward(op.adjoint(y), levels)).max()))
+    magnitude of the zero-filled estimates of an (N, 2, h, w) stack."""
+    peak = float(magnitude(haar2_forward(op.adjoint(ys), levels)).max())
     if peak == 0.0:
         peak = 1.0
     return [float(g) for g in peak * np.geomspace(GRID_LO, GRID_HI, points)]

@@ -27,10 +27,9 @@ _KEYS = {TrainConfig: {"iterations": "unroll_t", "seed": "train_seed"},
          CsConfig: {"iterations": "cs_iterations", "solver": "cs_solver", "levels": "cs_levels"},
          mask_quota: {name: f"mask_{name}" for name in ("rate", "center_fraction", "decay")}}
 _SUBS = {"prox": ProximalConfig, "train": TrainConfig, "cs": CsConfig}
-# the (sub-config, field) of each routed key; cs_lambda or tuning sets CsConfig.lam
+# the (sub-config, field) of each routed key
 _ROUTES = {_KEYS.get(cls, {}).get(f.name, f.name): (sub, f.name)
-           for sub, cls in _SUBS.items() for f in fields(cls)
-           if (cls, f.name) != (CsConfig, "lam")}
+           for sub, cls in _SUBS.items() for f in fields(cls)}
 
 
 def _naming_keys(fn, *args, **kwargs):
@@ -111,7 +110,6 @@ class ExperimentConfig:
         for key in ("cs_grid_points", "cs_val_images"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        # CsConfig accepts lam = 0; an explicit cs_lambda must be positive
         if self.cs_lambda is not None and self.cs_lambda <= 0:
             raise ConfigError("cs_lambda must be positive")
         if self.threads < 1:

@@ -293,21 +293,20 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     if lam is None:
         val = train_set[-min(cfg.cs_val_images, len(train_set)):]
         ys_val = _measure(cfg, op, val, VALIDATION)
-        grid = default_lambda_grid(ys_val, op, cfg.cs.levels, points=cfg.cs_grid_points)
+        grid = default_lambda_grid(np.stack(ys_val), op, cfg.cs.levels, cfg.cs_grid_points)
         lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cfg.cs)
         log(f"tuned lambda = {lam:.6g}")
-    cs = replace(cfg.cs, lam=lam)
-    solve = fista if cs.solver == "fista" else ista
+    solve = fista if cfg.cs.solver == "fista" else ista
     # the held-out set is one batch; threads does not apply
     t0 = time.perf_counter()
-    estimates, traces = solve(np.stack([y for _, y in pairs]), op, cs)
+    estimates, traces = solve(np.stack([y for _, y in pairs]), op, cfg.cs, [lam] * len(pairs))
     per_solve = (time.perf_counter() - t0) / len(pairs)
     rows, _ = _evaluate(op, pairs, estimates)
     for i, trace in enumerate(traces):
         write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
                   ("iter", "objective", "data_term", "l1_term"), trace)
     path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)
-    log(f"CS baseline (lambda={cs.lam:.4g}): mean SNR {mean_snr(rows):.2f} dB, "
+    log(f"CS baseline (lambda={lam:.4g}): mean SNR {mean_snr(rows):.2f} dB, "
         f"{per_solve:.3g} s/solve -> {path}")
 
 

@@ -31,6 +31,7 @@ from .errors import ConfigError, ContractError, ShapeError, UnsupportedConfigErr
 ARCHS = ("resnet", "chain")
 ACTIVATIONS = ("relu", "swish")
 NORMALIZATIONS = ("instance", "none")
+_MAX_DRAW = np.iinfo(np.intp).max // 8  # the most float64s numpy holds in one array
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,9 @@ def build(config: ProximalConfig, seed: int = 0,
     rng = np.random.default_rng(seed)
     params: Dict[str, Variable] = {}
     for name, shape in param_shapes(config):
+        if math.prod(shape) > _MAX_DRAW:
+            keys = "feature_maps" if config.arch == "resnet" else "feature_maps or chain_kernel"
+            raise ConfigError(f"{keys} too large: parameter {name} {shape} exceeds one array")
         if name.endswith(".kernel"):  # fan_in = c_in * k * k
             value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
         else:  # a norm's gamma starts at one, every other vector at zero

@@ -9,7 +9,6 @@ runs the rest of the suite in seconds.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,13 +244,13 @@ def test_criterion_3_baseline_properties():
         mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 50 + trial)
         op = MaskedFourierOperator(mask)
         y = op.apply(random_complex_image(16, 16, seed=100 + trial))
-        cfg_i = CsConfig(lam=0.02, iterations=50, solver="ista", levels=2)
-        cfg_f = CsConfig(lam=0.02, iterations=50, solver="fista", levels=2)
-        _, tr_i = ista(y, op, cfg_i)
+        cfg_i = CsConfig(iterations=50, solver="ista", levels=2)
+        cfg_f = CsConfig(iterations=50, solver="fista", levels=2)
+        _, (tr_i,) = ista(y[None], op, cfg_i, [0.02])
         objs = [row[1] for row in tr_i]
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-7 * max(abs(a), 1.0)
-        _, tr_f = fista(y, op, cfg_f)
+        _, (tr_f,) = fista(y[None], op, cfg_f, [0.02])
         assert tr_f[-1][1] <= tr_i[-1][1] * (1 + 1e-6)
     _report("criterion 3 (baseline properties)", time.perf_counter() - t0)
 
@@ -271,13 +270,13 @@ def mri_bundle():
 
     # lambda-tuned FISTA baseline (300 iterations)
     val = train_set[-10:]
-    ys_val = [op.apply(x) for x in val]
+    ys_val = np.stack([op.apply(x) for x in val])
     cs = CsConfig(iterations=300, solver="fista", levels=4)
-    grid = default_lambda_grid(ys_val, op, 4)
+    grid = default_lambda_grid(ys_val, op, 4, 8)
     best_lam, _ = tune_lambda(list(zip(val, ys_val)), op, grid, cs)
-    cs = replace(cs, lam=best_lam)
-    fista_snr = float(np.mean([snr_db(fista(y, op, cs)[0], x)
-                               for x, y in zip(test_set, ys_test)]))
+    # one batch: each image's iterates are bit-equal to solving it alone
+    xs_cs, _ = fista(np.stack(ys_test), op, cs, [best_lam] * len(ys_test))
+    fista_snr = float(np.mean([snr_db(xhat, x) for xhat, x in zip(xs_cs, test_set)]))
 
     prox = ProximalConfig(arch="resnet", num_res_blocks=1, feature_maps=32,
                           activation="relu", normalization="instance")

@@ -6,7 +6,7 @@ from npgd.baselines import (CsConfig, cs_objective, default_lambda_grid, fista,
                             haar2_forward, haar2_inverse, ista, nesterov_next_t,
                             soft_threshold, tune_lambda)
 from npgd.core import ifft2, magnitude, norm
-from npgd.errors import DimensionError, ParameterError, SolverError
+from npgd.errors import DimensionError, ParameterError, ShapeError, SolverError
 from npgd.metrics import snr_db
 from npgd.operators import (BoxDownsampleOperator, LinearOperator,
                             MaskedFourierOperator, gradient_step)
@@ -131,8 +131,8 @@ class _AntiAdjointOperator(_IdentityOperator):
 def test_ista_trivial_operator_single_step():
     op = _IdentityOperator(8)
     y = random_complex_image(8, 8, seed=4)
-    cfg = CsConfig(lam=0.05, iterations=3, solver="ista", levels=2)
-    x, _ = ista(y, op, cfg)
+    cfg = CsConfig(iterations=3, solver="ista", levels=2)
+    (x,), _ = ista(y[None], op, cfg, [0.05])
     expected = haar2_inverse(soft_threshold(haar2_forward(y, 2), 0.05), 2)
     assert norm(x - expected) <= 1e-5 * max(norm(expected), 1.0)
 
@@ -140,8 +140,8 @@ def test_ista_trivial_operator_single_step():
 def test_ista_lambda_zero_full_mask_is_zero_fill():
     op = MaskedFourierOperator(full_mask(8, 8))
     y = op.apply(random_complex_image(8, 8, seed=5))
-    cfg = CsConfig(lam=0.0, iterations=2, solver="ista", levels=2)
-    x, _ = ista(y, op, cfg)
+    cfg = CsConfig(iterations=2, solver="ista", levels=2)
+    (x,), _ = ista(y[None], op, cfg, [0.0])
     assert norm(op.apply(x) - y) <= 1e-5 * norm(y)
     assert norm(x - ifft2(y)) <= 1e-5 * norm(y)
 
@@ -151,8 +151,8 @@ def test_ista_objective_monotone():
         mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, trial)
         op = MaskedFourierOperator(mask)
         y = op.apply(random_complex_image(16, 16, seed=50 + trial))
-        cfg = CsConfig(lam=0.02, iterations=50, solver="ista", levels=2)
-        _, trace = ista(y, op, cfg)
+        cfg = CsConfig(iterations=50, solver="ista", levels=2)
+        _, (trace,) = ista(y[None], op, cfg, [0.02])
         objs = [row[1] for row in trace]
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-7 * max(abs(a), 1.0)
@@ -167,17 +167,17 @@ def test_fista_not_slower_than_ista():
         mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 100 + trial)
         op = MaskedFourierOperator(mask)
         y = op.apply(random_complex_image(16, 16, seed=150 + trial))
-        ista_cfg = CsConfig(lam=0.02, iterations=50, solver="ista", levels=2)
-        fista_cfg = CsConfig(lam=0.02, iterations=50, solver="fista", levels=2)
-        _, tr_i = ista(y, op, ista_cfg)
-        _, tr_f = fista(y, op, fista_cfg)
+        ista_cfg = CsConfig(iterations=50, solver="ista", levels=2)
+        fista_cfg = CsConfig(iterations=50, solver="fista", levels=2)
+        _, (tr_i,) = ista(y[None], op, ista_cfg, [0.02])
+        _, (tr_f,) = fista(y[None], op, fista_cfg, [0.02])
         assert tr_f[-1][1] <= tr_i[-1][1] * (1 + 1e-6)
 
 
 def test_fista_lambda_zero_residual_vanishes():
     op = MaskedFourierOperator(full_mask(16, 16))
     y = op.apply(random_complex_image(16, 16, seed=6))
-    x, _ = fista(y, op, CsConfig(lam=0.0, iterations=30, solver="fista", levels=2))
+    (x,), _ = fista(y[None], op, CsConfig(iterations=30, solver="fista", levels=2), [0.0])
     assert norm(op.apply(x) - y) <= 1e-4 * norm(y)
 
 
@@ -195,7 +195,7 @@ def test_fista_matches_float32_reference_loop():
         t_next = nesterov_next_t(t)
         z = x + np.float32((t - 1.0) / t_next) * (x - x_prev)
         x_prev, t = x, t_next
-    got, _ = fista(y, op, CsConfig(lam=lam, iterations=4, solver="fista", levels=levels))
+    (got,), _ = fista(y[None], op, CsConfig(iterations=4, solver="fista", levels=levels), [lam])
     assert got.dtype == np.float32
     assert np.array_equal(got, x_prev)
 
@@ -204,16 +204,17 @@ def test_solver_divergence_detected():
     op = _AntiAdjointOperator(8)
     y = random_complex_image(8, 8, seed=7)
     with pytest.raises(SolverError):
-        ista(y, op, CsConfig(lam=0.01, iterations=500, solver="ista", levels=2))
+        ista(y[None], op, CsConfig(iterations=500, solver="ista", levels=2), [0.01])
 
 
 def test_cs_objective_terms():
     op = _IdentityOperator(8)
     x = random_complex_image(8, 8, seed=8)
     y = random_complex_image(8, 8, seed=9)
-    obj, data, l1 = cs_objective(x, y, op, 0.1, 2)
+    (obj, data, l1), = cs_objective(x[None], y[None], op, [0.1], haar2_forward(x[None], 2))
     assert obj == pytest.approx(data + l1)
     assert data == pytest.approx(0.5 * norm(y - x) ** 2, rel=1e-6)
+    assert l1 == pytest.approx(0.1 * float(np.sum(magnitude(haar2_forward(x, 2)))), rel=1e-6)
 
 
 def test_cs_objective_takes_coefficients():
@@ -222,12 +223,22 @@ def test_cs_objective_takes_coefficients():
     xs = np.stack([random_complex_image(8, 8, seed=8 + i) for i in range(2)])
     ys = np.stack([random_complex_image(8, 8, seed=10 + i) for i in range(2)])
     c = haar2_forward(xs, 2)
-    assert cs_objective(xs[0], ys[0], op, 0.1, 2, coeffs=c[0]) == \
-        cs_objective(xs[0], ys[0], op, 0.1, 2)
-    rows = cs_objective(xs, ys, op, [0.1, 0.2], 2, coeffs=2 * c)
+    rows = cs_objective(xs, ys, op, [0.1, 0.2], 2 * c)
     for i, (_, data, l1) in enumerate(rows):
-        _, want_data, want_l1 = cs_objective(xs[i], ys[i], op, 0.1 * (i + 1), 2)
+        (_, want_data, want_l1), = cs_objective(xs[i:i + 1], ys[i:i + 1], op, [0.1 * (i + 1)],
+                                                haar2_forward(xs[i:i + 1], 2))
         assert (data, l1) == (want_data, 2 * want_l1)
+
+
+def test_one_image_is_not_a_stack():
+    # a (2, H, W) measurement would otherwise read as a stack of two images
+    op = _IdentityOperator(8)
+    y = random_complex_image(8, 8, seed=12)
+    for solve in (ista, fista):
+        with pytest.raises(ShapeError, match=r"\(N, 2, H, W\) stack"):
+            solve(y, op, CsConfig(iterations=2, levels=2), [0.1, 0.1])
+    with pytest.raises(ShapeError, match=r"\(N, 2, H, W\) stack"):
+        cs_objective(y, y, op, [0.1, 0.1], haar2_forward(y, 2))
 
 
 def test_tune_lambda_grid_of_one_and_duplicates():
@@ -262,7 +273,7 @@ def test_default_lambda_grid_scales_with_peak():
     mask = generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 13)
     op = MaskedFourierOperator(mask)
     y = op.apply(random_complex_image(16, 16, seed=14))
-    grid = default_lambda_grid([y], op, levels=2)
+    grid = default_lambda_grid(y[None], op, levels=2, points=8)
     assert len(grid) == 8
     assert grid[0] < grid[-1]
     c = haar2_forward(op.adjoint(y), 2)
@@ -272,14 +283,51 @@ def test_default_lambda_grid_scales_with_peak():
     assert grid[-1] == pytest.approx(1e-1 * peak, rel=1e-9)
 
 
+@pytest.mark.parametrize("task", ["fourier", "box"])
+def test_default_lambda_grid_peak_is_the_per_image_maximum(task):
+    # one transform of the stack finds the peak that a loop over its images finds
+    if task == "fourier":
+        op = MaskedFourierOperator(generate_vardens_mask(16, 16, 0.4, 0.05, 3.0, 15))
+    else:
+        op = BoxDownsampleOperator(16, 16)
+    ys = np.stack([op.apply(random_complex_image(16, 16, seed=16 + i, scale=s))
+                   for i, s in enumerate((1.0, 3.0, 2.0))])
+    peak = 0.0
+    for y in ys:
+        peak = max(peak, float(magnitude(haar2_forward(op.adjoint(y), 2)).max()))
+    assert default_lambda_grid(ys, op, 2, 5) == \
+        [float(g) for g in peak * np.geomspace(1e-4, 1e-1, 5)]
+    single = default_lambda_grid(ys[1:2], op, 2, 5)
+    assert single == default_lambda_grid(ys, op, 2, 5)  # image 1 holds the peak
+
+
 def test_cs_config_validation():
-    with pytest.raises(ParameterError):
-        CsConfig(lam=-0.1)
     with pytest.raises(ParameterError):
         CsConfig(iterations=0)
     with pytest.raises(ParameterError):
         CsConfig(solver="admm")
-    CsConfig(lam=0.0)  # zero threshold = plain gradient descent
+    with pytest.raises(ParameterError):
+        CsConfig(levels=0)
+
+
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+@pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")], ids=lambda v: f"lam={v}")
+def test_solver_rejects_lambda_not_finite_and_nonnegative(lam, solver):
+    # the solver's own check, before any iteration: one bad entry is enough
+    op = _IdentityOperator(8)
+    ys = np.stack([random_complex_image(8, 8, seed=13 + i) for i in range(2)])
+    cfg = CsConfig(iterations=2, solver=solver, levels=2)
+    for lams in ([lam], [0.01, lam]):
+        with pytest.raises(ParameterError, match="lambda must be finite and >= 0"):
+            getattr(baselines, solver)(ys[:len(lams)], op, cfg, lams)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), [0.1, float("nan")]],
+                         ids=["nan", "inf", "one-nan"])
+def test_soft_threshold_rejects_lambda_not_finite(lam):
+    v = np.stack([random_complex_image(4, 4, seed=14 + i) for i in range(2)])
+    with pytest.raises(ParameterError, match="lambda must be finite and >= 0"):
+        soft_threshold(v, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +374,15 @@ def test_stack_matches_reference_loop_per_image(solver, n, task):
     for i in range(n):
         ref, ref_c = _reference_solve(ys[i], op, lams[i], levels, 6, solver == "fista")
         assert np.array_equal(xs[i], ref)
-        alone_x, alone_trace = solve(ys[i], op, CsConfig(lam=lams[i], iterations=6,
-                                                         solver=solver, levels=levels))
+        (alone_x,), (alone_trace,) = solve(ys[i:i + 1], op, cfg, [lams[i]])
         assert alone_x.dtype == np.float32
         assert np.array_equal(alone_x, ref)
         assert traces[i] == alone_trace
         # the trace's l1 term is lambda * ||c||_1 of the solver's own shrunk
         # coefficients c: ||W x||_1 up to roundoff, as W is orthonormal
         _, obj, data, l1 = traces[i][-1]
-        _, want_data, want_l1 = cs_objective(ref, ys[i], op, lams[i], levels)
+        (_, want_data, want_l1), = cs_objective(ref[None], ys[i:i + 1], op, [lams[i]],
+                                                haar2_forward(ref[None], levels))
         assert data == want_data
         assert l1 == lams[i] * float(np.sum(magnitude(ref_c)))
         assert l1 == pytest.approx(want_l1, rel=1e-6)
@@ -351,7 +399,7 @@ def test_stack_with_one_diverging_image_raises():
     # the iteration where it is caught when solved alone
     cfg = CsConfig(iterations=500, solver="ista", levels=2)
     with pytest.raises(SolverError) as alone:
-        ista(ys[1], op, CsConfig(lam=0.01, iterations=500, solver="ista", levels=2))
+        ista(ys[1:2], op, cfg, [0.01])
     iteration = str(alone.value).split("iteration ")[1].split()[0]
     with pytest.raises(SolverError, match=f"image 1, iteration {iteration} "):
         ista(ys, op, cfg, lams=[1e6, 0.01, 1e6])
@@ -400,8 +448,7 @@ def test_tune_lambda_table_matches_separate_solves():
     _, table = tune_lambda(val, op, grid, cfg)
     assert [lam for lam, _ in table] == sorted(grid)
     for lam, mean_snr in table:
-        alone = CsConfig(lam=lam, iterations=8, solver="fista", levels=2)
-        snrs = [snr_db(fista(y, op, alone)[0], x) for x, y in val]
+        snrs = [snr_db(fista(y[None], op, cfg, [lam])[0][0], x) for x, y in val]
         assert mean_snr == float(np.mean(snrs))
 
 

@@ -145,11 +145,9 @@ def test_every_readme_key_resolves_to_exactly_one_field():
 
     from npgd.config import _ROUTES
     cfg, subs = ExperimentConfig(), ("prox", "train", "cs")
-    # every field a file sets: the experiment's own, and each sub-config's
-    # but CsConfig.lam, which cs_lambda or tuning sets
+    # every field of every config class: the experiment's own and each sub-config's
     settable = {(None, f.name) for f in fields(cfg) if f.name not in subs}
     settable |= {(sub, f.name) for sub in subs for f in fields(getattr(cfg, sub))}
-    settable.remove(("cs", "lam"))
     targets = [_ROUTES.get(key, (None, key)) for key in _readme_config_keys()]
     assert len(set(targets)) == len(targets)  # no two keys set one field
     assert set(targets) == settable
@@ -577,6 +575,22 @@ def test_noise_too_large_exits_cleanly(tmp_path, capsys, noise_std, code, messag
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lines, says", [
+    (f"feature_maps = {2**62}\n", "feature_maps too large: parameter head.kernel"),
+    (f"arch = chain\nactivation = swish\nnormalization = none\nchain_kernel = {2**31 + 1}\n",
+     "feature_maps or chain_kernel too large: parameter layer1.kernel"),
+], ids=["huge-feature-maps", "huge-chain-kernel"])
+def test_parameter_too_large_for_one_array_exits_2(tmp_path, capsys, lines, says):
+    # build checks each parameter's shape before it draws it; numpy would
+    # raise its own error before it allocates anything. A huge num_res_blocks
+    # is not run: each block it could draw would be allocated
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI.replace("feature_maps = 8\n", lines))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"npgd: error: {says} ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 TOY_TRAINED = """

@@ -43,8 +43,6 @@ CASES = [
     (TrainConfig, {}, {"batch_size": 0}),
     (TrainConfig, {}, {"epochs": 0}),
     (TrainConfig, {}, {"seed": -1}),
-    (CsConfig, {}, {"lam": -0.1}),
-    (CsConfig, {}, {"lam": NAN}),
     (CsConfig, {}, {"iterations": 0}),
     (CsConfig, {}, {"solver": "admm"}),
     (CsConfig, {}, {"levels": 0}),

@@ -87,3 +87,27 @@ def test_tracer_spans_each_pull_once_however_the_pull_is_split():
     assert calls.get("autograd.instance_norm.vjp") == 3, calls  # x, gamma, beta
     for span in ("fwd", "vjp_x", "vjp_kernel", "vjp_bias"):
         assert calls.get(f"autograd.conv2d.k3.{span}") == 2, (span, calls)
+
+
+_TRACED_BASELINE = """
+import json
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+from npgd import cli
+assert cli.main(["baseline", "--config", CONFIG, "--out", OUT]) == 0
+print(json.dumps(t.summary()[0]))
+"""
+
+
+def test_baseline_solve_runs_through_every_traced_name(tmp_path):
+    # a tuned-lambda FISTA baseline: the benchmark's CS spans must each see
+    # the run, so no refactor can route the solve around a traced name
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("task = mri\nimage_size = 16\ndata_num = 8\nholdout = 2\n"
+                   "mask_rate = 0.4\ncs_iterations = 10\ncs_levels = 2\n"
+                   "cs_val_images = 2\ncs_grid_points = 3\n")
+    code = f"CONFIG, OUT = {str(cfg)!r}, {str(tmp_path / 'out')!r}\n" + _TRACED_BASELINE
+    calls = json.loads(_run(code).stdout.splitlines()[-1])
+    for span in ("fista", "objective", "lambda_grid", "tune_lambda", "step_size"):
+        assert calls.get(f"baselines.{span}", 0) >= 1, (span, calls)

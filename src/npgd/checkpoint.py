@@ -8,7 +8,7 @@ Layout (all little-endian):
         tag 0 = i64, tag 1 = f32, tag 2 = string (u16 len + utf8)
     f32 alpha
     u32 n_records, then parameter records:
-        u16 name_len | name utf8 | u8 rank | u32 dims[rank] | f32 data row-major
+        u16 name_len | name utf8 | u8 rank (<= 4) | u32 dims[rank] | f32 data row-major
     u32 CRC32 of everything above
 
 Optimizer moments ride along as parameter records under the reserved
@@ -18,9 +18,7 @@ learnable step size), so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -29,6 +27,7 @@ from typing import Dict, Tuple, get_type_hints
 import numpy as np
 
 from .autograd import Variable
+from .core import write_file
 from .errors import CorruptionError, FormatError, NumericsError, ParameterError
 from .proxnet import ProximalConfig, ProximalNet, param_shapes
 from .unroll import TrainConfig, TrainResult
@@ -188,6 +187,8 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
             raise FormatError(f"{origin}: duplicate record {name!r}")
         names.add(name)
         rank, = r.unpack("<B")
+        if rank > 4:  # a conv kernel has the most axes
+            raise FormatError(f"{origin}: record {name!r} has {rank} axes, more than 4")
         dims = tuple(r.unpack("<I")[0] for _ in range(rank))
         count = math.prod(dims)  # exact: np.prod of huge dims wraps around
         data = np.frombuffer(r.take(4 * count), "<f4").reshape(dims).copy()
@@ -222,23 +223,8 @@ def deserialize(blob: bytes, origin: str = "checkpoint") -> Checkpoint:
 
 
 def save(ck: Checkpoint, path) -> None:
-    """Write atomically: the bytes go to a temp file in the target directory,
-    which then replaces the target, so a failed write leaves any existing
-    checkpoint at ``path`` as it was."""
-    blob = serialize(ck)
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """Write atomically, through :func:`core.write_file`."""
+    write_file(path, serialize(ck))
 
 
 def load(path) -> Checkpoint:

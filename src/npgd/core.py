@@ -13,7 +13,10 @@ norm <= 1.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,3 +131,34 @@ def ifft2(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2` (also unitary)."""
     # not out=: numpy 2.4's ifft2 with out= returns wrong values
     return to_planes(np.fft.ifft2(to_complex(x), norm="ortho"))
+
+
+def write_file(path, data: bytes) -> None:
+    """Write atomically: the bytes go to a temp file in the target directory,
+    which is synced and then replaces the target, so a failed or interrupted
+    write leaves any existing file at ``path`` as it was and no partial one."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Comma-separated table: integers as written by str, every other
+    value as a float with 9 significant digits."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.9g}"

@@ -19,14 +19,14 @@ from . import checkpoint as ckpt_io
 from .baselines import default_lambda_grid, fista, ista, tune_lambda
 from .config import ExperimentConfig, parse_sweep_grid
 from .contraction import analyze_trajectory, debias
-from .core import magnitude, norm
+from .core import magnitude, norm, write_csv
 from .errors import ConfigError, FormatError, NumericsError, ParameterError
 from .metrics import nrmse, snr_db, ssim
 from .operators import BoxDownsampleOperator, LinearOperator, MaskedFourierOperator
 from .pgm import read_pgm, write_pgm16
 from .phantoms import generate_dataset
 from .sampling import generate_vardens_mask, save_mask_bits, save_mask_pgm
-from .unroll import reconstruct, train, write_csv, write_trace_csv
+from .unroll import reconstruct, train, write_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,6 @@ def mean_snr(rows: Sequence[EvalRow]) -> float:
     return float(np.mean([r.snr for r in rows]))
 
 
-def _write_eval_csv(path: str, rows: Sequence[EvalRow]) -> str:
-    write_csv(path, EVAL_HEADER, [astuple(r) for r in rows])
-    return path
-
-
 # ---------------------------------------------------------------------------
 # command bodies
 
@@ -279,7 +274,8 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str, log) -> None:
     write_csv(os.path.join(out_dir, "residuals.csv"), ("index", "t", "residual"),
               [(i, t, r) for i, (_, residuals) in enumerate(solved)
                for t, r in enumerate(residuals, start=1)])
-    path = _write_eval_csv(os.path.join(out_dir, "metrics.csv"), rows)
+    path = os.path.join(out_dir, "metrics.csv")
+    write_csv(path, EVAL_HEADER, [astuple(r) for r in rows])
     log(f"mean SNR {mean_snr(rows):.2f} dB (zero-filled "
         f"{float(np.mean([r.snr_zf for r in rows])):.2f} dB), "
         f"{per_image:.3g} s/image -> {path}")
@@ -305,7 +301,8 @@ def run_baseline(cfg: ExperimentConfig, out_dir: str, log) -> None:
     for i, trace in enumerate(traces):
         write_csv(os.path.join(out_dir, f"cs_trace_{i:04d}.csv"),
                   ("iter", "objective", "data_term", "l1_term"), trace)
-    path = _write_eval_csv(os.path.join(out_dir, "cs_metrics.csv"), rows)
+    path = os.path.join(out_dir, "cs_metrics.csv")
+    write_csv(path, EVAL_HEADER, [astuple(r) for r in rows])
     log(f"CS baseline (lambda={lam:.4g}): mean SNR {mean_snr(rows):.2f} dB, "
         f"{per_solve:.3g} s/solve -> {path}")
 

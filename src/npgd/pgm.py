@@ -14,7 +14,17 @@ import re
 
 import numpy as np
 
+from .core import write_file
 from .errors import CorruptionError, FormatError, NumericsError
+
+
+def write_p5(path, raw: np.ndarray, comment: str = "") -> None:
+    """A binary PGM of a 2-D uint8 or big-endian uint16 raster, whose dtype
+    sets maxval (255 or 65535); a comment becomes one ``# `` header line."""
+    h, w = raw.shape
+    maxval = {np.dtype(np.uint8): 255, np.dtype(">u2"): 65535}[raw.dtype]
+    header = "P5\n" + (f"# {comment}\n" if comment else "") + f"{w} {h}\n{maxval}\n"
+    write_file(path, header.encode("ascii") + raw.tobytes())
 
 
 def write_pgm16(path, plane: np.ndarray) -> None:
@@ -28,13 +38,7 @@ def write_pgm16(path, plane: np.ndarray) -> None:
         q = np.round((plane - vmin) / (vmax - vmin) * 65535.0)
     else:
         q = np.zeros_like(plane)
-    q = np.clip(q, 0, 65535).astype(">u2")
-    h, w = plane.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        fh.write(f"# range {vmin:.9g} {vmax:.9g}\n".encode("ascii"))
-        fh.write(f"{w} {h}\n65535\n".encode("ascii"))
-        fh.write(q.tobytes())
+    write_p5(path, np.clip(q, 0, 65535).astype(">u2"), f"range {vmin:.9g} {vmax:.9g}")
 
 
 def _tokenize_header(blob: bytes, path):

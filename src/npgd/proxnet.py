@@ -18,7 +18,8 @@ affine (the basis of the contraction diagnostics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -31,7 +32,6 @@ from .errors import ConfigError, ContractError, ShapeError, UnsupportedConfigErr
 ARCHS = ("resnet", "chain")
 ACTIVATIONS = ("relu", "swish")
 NORMALIZATIONS = ("instance", "none")
-_MAX_DRAW = np.iinfo(np.intp).max // 8  # the most float64s numpy holds in one array
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,17 @@ def param_shapes(config: ProximalConfig) -> Iterator[Tuple[str, Tuple[int, ...]]
     yield from conv("tail3", f, 2, 1)
 
 
+def param_count(config: ProximalConfig) -> int:
+    """Number of parameters of the net, without walking a deep one: the
+    count is affine in ``num_res_blocks``, and in ``chain_layers`` from two
+    layers on, so nets of two and three blocks or layers fix it."""
+    depth = "num_res_blocks" if config.arch == "resnet" else "chain_layers"
+    n = getattr(config, depth)
+    at = [sum(math.prod(shape) for _, shape in param_shapes(replace(config, **{depth: m})))
+          for m in (min(n, 2), min(n, 3))]
+    return at[1] if n <= 3 else at[0] + (n - 2) * (at[1] - at[0])
+
+
 def build(config: ProximalConfig, seed: int = 0,
           zero_init_output: bool = True) -> ProximalNet:
     """Construct a net with He-normal kernels (variance 2/fan_in), zero biases.
@@ -198,13 +209,25 @@ def build(config: ProximalConfig, seed: int = 0,
     The final output convolution starts at zero by default so the proximal
     begins as the zero map; composed over many unrolled iterations a
     fully random stack blows the trajectory up before training can react.
+    A net whose float32 parameters exceed this machine's memory, one alone
+    or all together, is a ConfigError that names its keys, raised before
+    anything is drawn.
     """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    depth, *widths = (("num_res_blocks", "feature_maps") if config.arch == "resnet"
+                      else ("chain_layers", "feature_maps", "chain_kernel"))
+    shallow = replace(config, **{depth: min(getattr(config, depth), 3)})
+    for name, shape in param_shapes(shallow):  # every shape a deeper net has
+        if 4 * math.prod(shape) > memory:
+            raise ConfigError(f"{' or '.join(widths)} too large: parameter {name} {shape} "
+                              f"needs more than the {memory} bytes of memory")
+    count = param_count(config)
+    if 4 * count > memory:
+        raise ConfigError(f"{' or '.join([depth] + widths)} too large: the net's {count} "
+                          f"float32 parameters need more than the {memory} bytes of memory")
     rng = np.random.default_rng(seed)
     params: Dict[str, Variable] = {}
     for name, shape in param_shapes(config):
-        if math.prod(shape) > _MAX_DRAW:
-            keys = "feature_maps" if config.arch == "resnet" else "feature_maps or chain_kernel"
-            raise ConfigError(f"{keys} too large: parameter {name} {shape} exceeds one array")
         if name.endswith(".kernel"):  # fan_in = c_in * k * k
             value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
         else:  # a norm's gamma starts at one, every other vector at zero

@@ -21,8 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import check_power_of_two
+from .core import check_power_of_two, write_file
 from .errors import CorruptionError, FormatError, ParameterError
+from .pgm import write_p5
 from .rng import Xorshift64Star
 
 BITMASK_MAGIC = b"NPGDMASK"
@@ -120,19 +121,13 @@ def generate_vardens_mask(height: int, width: int, rate: float,
 
 def save_mask_pgm(mask: SamplingMask, path) -> None:
     """P5 visualization: 255 = sampled, 0 = skipped (centered layout)."""
-    data = np.where(mask.bits, 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    write_p5(path, np.where(mask.bits, 255, 0).astype(np.uint8))
 
 
 def save_mask_bits(mask: SamplingMask, path) -> None:
     """Raw bitmask: magic, u32 H, u32 W (LE), bits row-major MSB-first."""
-    packed = np.packbits(mask.bits.ravel(), bitorder="big")
-    with open(path, "wb") as fh:
-        fh.write(BITMASK_MAGIC)
-        fh.write(struct.pack("<II", mask.height, mask.width))
-        fh.write(packed.tobytes())
+    header = BITMASK_MAGIC + struct.pack("<II", mask.height, mask.width)
+    write_file(path, header + np.packbits(mask.bits.ravel(), bitorder="big").tobytes())
 
 
 def load_mask_bits(path) -> SamplingMask:

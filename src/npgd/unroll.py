@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Variable, backward
-from .core import check_finite_float32, norm
+from .core import check_finite_float32, norm, write_csv
 from .errors import NumericsError, ParameterError
 from .operators import LinearOperator, data_residual_sq, gradient_step_channels
 from .proxnet import ProximalConfig, ProximalNet, build
@@ -226,21 +226,6 @@ def train(dataset: Sequence[np.ndarray], op: LinearOperator,
                 f"alpha={float(alpha_var.value):.4g}")
     result.seconds = time.perf_counter() - t0
     return result
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Comma-separated table: integers as written by str, every other
-    value as a float with 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.9g}"
 
 
 def write_trace_csv(rows: Sequence[tuple], path) -> None:

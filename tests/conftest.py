@@ -4,7 +4,11 @@
 identity: the head splits each input channel into +/- copies, the residual
 blocks are zeroed (skip-path only), the relu tail passes the nonnegative
 split parts through unchanged, and the last 1x1 conv recombines them.
+
+``interrupt_write`` stands in for Ctrl-C in the middle of writing a file.
 """
+
+import builtins
 
 import numpy as np
 import pytest
@@ -36,6 +40,41 @@ def make_identity_resnet(feature_maps=4, num_res_blocks=1):
     t3[1, 1, 0, 0] = 1.0
     t3[1, 3, 0, 0] = -1.0
     return net
+
+
+class _HalfWrittenHandle:
+    """Writes half of the first buffer it is given, then raises
+    KeyboardInterrupt."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise KeyboardInterrupt
+
+
+def interrupt_write(monkeypatch, nth=1):
+    """Patch ``open`` so that the nth file opened for writing, in any
+    module, is interrupted halfway through its first write."""
+    real_open = builtins.open
+    opened = []
+
+    def patched(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if not set(mode) & set("wax+"):
+            return fh
+        opened.append(file)
+        return _HalfWrittenHandle(fh) if len(opened) == nth else fh
+
+    monkeypatch.setattr(builtins, "open", patched)
 
 
 def random_complex_image(h, w, seed=0, scale=1.0):

@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from npgd.core import magnitude
 from npgd.errors import ConfigError, NpgdError
 from npgd.pgm import read_pgm, write_pgm16
 from npgd.phantoms import generate_dataset
+
+from conftest import interrupt_write
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -584,9 +587,23 @@ def test_noise_too_large_exits_cleanly(tmp_path, capsys, noise_std, code, messag
 ], ids=["huge-feature-maps", "huge-chain-kernel"])
 def test_parameter_too_large_for_one_array_exits_2(tmp_path, capsys, lines, says):
     # build checks each parameter's shape before it draws it; numpy would
-    # raise its own error before it allocates anything. A huge num_res_blocks
-    # is not run: each block it could draw would be allocated
+    # raise its own error before it allocates anything
     cfg_path = _write(tmp_path / "c.cfg", TINY_MRI.replace("feature_maps = 8\n", lines))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"npgd: error: {says} ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, says", [
+    (f"num_res_blocks = {2**40}\n", "num_res_blocks or feature_maps too large: the net's"),
+    (f"arch = chain\nactivation = swish\nnormalization = none\nchain_layers = {2**40}\n",
+     "chain_layers or feature_maps or chain_kernel too large: the net's"),
+], ids=["huge-res-blocks", "huge-chain-layers"])
+def test_net_too_large_for_memory_exits_2(tmp_path, capsys, lines, says):
+    # every block or layer fits one array, but 2**40 of them need over 5e15
+    # bytes; build counts them from the config before it draws the first
+    cfg_path = _write(tmp_path / "c.cfg", TINY_MRI.replace("num_res_blocks = 1\n", lines))
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"npgd: error: {says} ") and err.count("\n") == 1
@@ -1024,6 +1041,7 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
 # a range error names the stored entry (unroll_t), not the config field it fills
 @pytest.mark.parametrize("blob, code, says", [
     (_checkpoint_blob(dims=(0xFFFFFFFF,) * 4), 1, "truncated"),  # CorruptionError
+    (_checkpoint_blob(dims=(0,) * 65), 2, "65 axes, more than 4"),  # beyond numpy's 64
     (_checkpoint_blob(name=b"\xff\xfe"), 2, "not UTF-8"),       # FormatError
     (_checkpoint_blob(entries=_bad_key_entry(), n_entries=1), 2, "not UTF-8"),
     (_tiny_checkpoint_blob(num_res_blocks="one"), 2, "'num_res_blocks' is not int"),
@@ -1042,7 +1060,7 @@ def _tiny_checkpoint_blob(repeat_entry=None, repeat_record=None, **entries):
     # that the stored records do not match, before any array is allocated
     (_tiny_checkpoint_blob(feature_maps=2**62), 2, "parameter head.kernel: shape"),
     (_tiny_checkpoint_blob(num_res_blocks=2**62), 2, "no parameter rb2.conv1.kernel"),
-], ids=["dims-overflow", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
+], ids=["dims-overflow", "rank-65", "record-name-not-utf8", "key-not-utf8", "int-entry-as-string",
         "unroll-t-zero", "unroll-t-as-f32", "unknown-loss", "beta-out-of-range",
         "duplicate-entry", "duplicate-record", "unknown-arch", "even-chain-kernel",
         "negative-epoch", "negative-adam-step", "huge-feature-maps", "huge-res-blocks"])
@@ -1054,6 +1072,99 @@ def test_malformed_checkpoint_exits_cleanly(tmp_path, capsys, blob, code, says):
     err = capsys.readouterr().err
     assert err.startswith(f"npgd: error: {ckpt}: ") and err.count("\n") == 1
     assert says in err and "Traceback" not in err
+
+
+def _checkpoint_fields(blob):
+    """(offset, kind) of each entry value, alpha and each record dim of a
+    checkpoint blob; kind is a struct format, or the length of a string."""
+    fields, pos = [], 10
+    count, = struct.unpack_from("<I", blob, 6)
+    for _ in range(count):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]
+        tag, pos = blob[pos], pos + 1
+        if tag == 2:
+            length, = struct.unpack_from("<H", blob, pos)
+            fields.append((pos + 2, length))
+            pos += 2 + length
+        else:
+            fields.append((pos, "<q" if tag == 0 else "<f"))
+            pos += 8 if tag == 0 else 4
+    fields.append((pos, "<f"))  # alpha
+    records, = struct.unpack_from("<I", blob, pos + 4)
+    pos += 8
+    for _ in range(records):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]
+        rank, pos = blob[pos], pos + 1
+        dims = struct.unpack_from(f"<{rank}I", blob, pos)
+        fields += [(pos + 4 * i, "<I") for i in range(rank)]
+        pos += 4 * rank + 4 * int(np.prod(dims))
+    assert pos == len(blob) - 4
+    return fields
+
+
+_FIELD_VALUES = {
+    "<q": st.one_of(st.integers(-2, 40), st.integers(-2**63, 2**63 - 1)),
+    "<f": st.floats(width=32),
+    "<I": st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+}
+
+
+def _mutated(data, blob, fields, crc):
+    """blob with a few bytes flipped, cut short, or one of its fields
+    rewritten (under a recomputed trailing CRC32 if crc), as hypothesis
+    draws it."""
+    blob = bytearray(blob)
+    how = data.draw(st.sampled_from(["flip", "truncate", "field"]))
+    if how == "flip":
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    elif how == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        offset, kind = data.draw(st.sampled_from(fields))
+        if isinstance(kind, int):
+            blob[offset:offset + kind] = data.draw(st.binary(min_size=kind, max_size=kind))
+        else:
+            struct.pack_into(kind, blob, offset, data.draw(_FIELD_VALUES[kind]))
+        if crc:
+            struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]))
+    return bytes(blob)
+
+
+_TINY_BLOB = _tiny_checkpoint_blob()
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(st.data())
+def test_fuzzed_checkpoint_restores_or_raises_npgd_error(tmp_path_factory, data):
+    from npgd import checkpoint
+    path = tmp_path_factory.getbasetemp() / "fuzzed.npgd"
+    path.write_bytes(_mutated(data, _TINY_BLOB, _checkpoint_fields(_TINY_BLOB), crc=True))
+    try:
+        checkpoint.restore_net(checkpoint.load(path))
+    except NpgdError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def genmask_bits(tmp_path_factory):
+    out = tmp_path_factory.mktemp("genmask")
+    cfg_path = _write(out / "c.cfg", TINY_MRI)
+    assert main(["genmask", "--config", cfg_path, "--out", str(out)]) == 0
+    return (out / "mask.bits").read_bytes()
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(st.data())
+def test_fuzzed_bitmask_loads_or_raises_npgd_error(tmp_path_factory, genmask_bits, data):
+    from npgd.sampling import load_mask_bits
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bits"
+    path.write_bytes(_mutated(data, genmask_bits, [(8, "<I"), (12, "<I")], crc=False))
+    try:
+        mask = load_mask_bits(path)
+    except NpgdError:
+        return
+    assert mask.bits.shape == (mask.height, mask.width)
 
 
 @pytest.mark.parametrize("blob, code", [
@@ -1131,6 +1242,25 @@ def test_diverging_reconstruct_exits_1_naming_image_and_iteration(tmp_path, caps
     assert re.fullmatch(r"npgd: error: image 0: non-finite residual at iteration t=[1-3]\n",
                         err), err
     assert os.listdir(rec) == []
+
+
+def test_interrupted_reconstruct_leaves_only_whole_files(tmp_path, capsys, monkeypatch):
+    # Ctrl-C halfway through the 5th output file (zf_0001.pgm): the four
+    # files before it read back whole, and neither it nor a temp file is left
+    cfg_path = _write(tmp_path / "c.cfg", TINY_CHAIN)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    rec_cfg = _write(tmp_path / "r.cfg", TINY_CHAIN +
+                     f"checkpoint_path = {tmp_path / 'run' / 'checkpoint.npgd'}\n")
+    rec = tmp_path / "rec"
+    capsys.readouterr()
+    interrupt_write(monkeypatch, nth=5)
+    assert main(["reconstruct", "--config", rec_cfg, "--out", str(rec)]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err == "npgd: error: interrupted\n"
+    assert sorted(os.listdir(rec)) == ["recon_0000.pgm", "recon_0001.pgm", "truth_0000.pgm",
+                                       "zf_0000.pgm"]
+    for name in os.listdir(rec):
+        assert read_pgm(rec / name).shape == (16, 16)
 
 
 @pytest.mark.parametrize("slot", ["head.kernel", "alpha"])

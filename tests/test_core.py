@@ -4,11 +4,17 @@ import os
 import numpy as np
 import pytest
 
+from npgd import checkpoint
 from npgd.core import (ComplexImage, dot, fft2, ifft2, magnitude, norm, to_complex,
-                       to_planes)
+                       to_planes, write_csv)
 from npgd.errors import DimensionError, ShapeError
+from npgd.pgm import write_pgm16
+from npgd.proxnet import ProximalConfig, build
+from npgd.sampling import generate_vardens_mask, save_mask_bits, save_mask_pgm
 
-from conftest import images_with_zero_pixels, random_complex_image
+from conftest import images_with_zero_pixels, interrupt_write, random_complex_image
+
+PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "npgd")
 
 
 def test_fft2_delta_becomes_flat_spectrum():
@@ -130,13 +136,11 @@ def test_norm_is_zero_iff_zero():
 def test_only_core_names_complex_image():
     # the (2, H, W) array is the one image layout inside the package;
     # ComplexImage only converts to and from complex arrays
-    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "npgd")
     offenders = []
-    for name in sorted(os.listdir(pkg)):
+    for name in sorted(os.listdir(PKG)):
         if not name.endswith(".py") or name in ("core.py", "__init__.py"):
             continue
-        with open(os.path.join(pkg, name)) as fh:
+        with open(os.path.join(PKG, name)) as fh:
             tree = ast.parse(fh.read(), name)
         for node in ast.walk(tree):
             ident = (getattr(node, "id", None) or getattr(node, "attr", None)
@@ -188,3 +192,102 @@ def test_fft_bit_equal_to_reference(shape):
     for transform, numpy_fn in ((fft2, np.fft.fft2), (ifft2, np.fft.ifft2)):
         f = numpy_fn(z, norm="ortho")
         assert np.array_equal(transform(x), np.stack((f.real, f.imag), axis=-3))
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+def _checkpoint(seed):
+    prox = ProximalConfig(arch="chain", chain_layers=2, chain_kernel=3, feature_maps=4,
+                          activation="swish", normalization="none")
+    return checkpoint.Checkpoint(prox=prox, unroll_t=2, beta=0.75, loss="l2", alpha=1.0,
+                                 params={k: v.value for k, v in build(prox, seed).params.items()},
+                                 seed=seed)
+
+
+def _mask(seed):
+    return generate_vardens_mask(16, 16, 0.3, 0.03, 2.5, seed)
+
+
+# every writer of an output file, as write(path, seed); two seeds write different bytes
+WRITERS = {
+    "checkpoint": lambda path, seed: checkpoint.save(_checkpoint(seed), path),
+    "pgm16": lambda path, seed: write_pgm16(
+        path, np.random.default_rng(seed).uniform(-1, 1, (16, 8))),
+    "csv": lambda path, seed: write_csv(
+        path, ("i", "x"), [(i, seed / (i + 1)) for i in range(40)]),
+    "mask-pgm": lambda path, seed: save_mask_pgm(_mask(seed), path),
+    "mask-bits": lambda path, seed: save_mask_bits(_mask(seed), path),
+}
+
+
+def _disk_full(fd):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["fsync", "interrupt"])
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, fault):
+    # a full disk at fsync, or Ctrl-C with half the bytes written, leaves the
+    # previous file whole, no file where there was none, and no temp file
+    write = WRITERS[writer]
+    path = tmp_path / "out.dat"
+    write(path, 1)
+    before = path.read_bytes()
+    for target in (path, tmp_path / "new.dat"):
+        with monkeypatch.context() as m:
+            if fault == "fsync":
+                m.setattr(os, "fsync", _disk_full)
+            else:
+                interrupt_write(m)
+            with pytest.raises(OSError if fault == "fsync" else KeyboardInterrupt):
+                write(target, 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.dat"]
+
+
+def _disk_writes(tree):
+    """(enclosing function, call) of every call in a module's syntax tree
+    that writes a file: a write-mode open, os.open, os.replace, os.rename or
+    os.fsync, or a write_bytes, write_text or tofile method."""
+    found = []
+
+    def kind(call):
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(mode.value) & set("wax+")):
+                return "open"
+        elif isinstance(f, ast.Attribute):
+            if isinstance(f.value, ast.Name) and f.value.id == "os" \
+                    and f.attr in ("replace", "rename", "fsync", "open"):
+                return f"os.{f.attr}"
+            if f.attr in ("write_bytes", "write_text", "tofile"):
+                return f.attr
+        return None
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            call = isinstance(child, ast.Call) and kind(child)
+            if call:
+                found.append((where, call))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_core_write_file_writes_to_disk():
+    # every output file goes through the one atomic writer; a new writer that
+    # opens, syncs or renames a file itself would bypass it
+    writes = {}
+    for name in sorted(os.listdir(PKG)):
+        if name.endswith(".py"):
+            with open(os.path.join(PKG, name)) as fh:
+                for where, call in _disk_writes(ast.parse(fh.read(), name)):
+                    writes.setdefault(f"{name[:-3]}.{where}", set()).add(call)
+    assert writes == {"core.write_file": {"open", "os.fsync", "os.replace"}}

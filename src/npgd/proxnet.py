@@ -10,9 +10,9 @@ Two architectures:
   hidden nonlinearity; only the final 2-channel output passes through swish.
 
 Every gated activation is sigma(z) = D(z) * z; ``capture_masks`` records the
-multiplicative masks D(z) at each gate, and ``forward_frozen`` re-runs the
-net with the gates pinned to a recorded snapshot, which makes the whole map
-affine (the basis of the contraction diagnostics).
+multiplicative masks D(z) at each gate as a ``MaskSnapshot``, and
+``forward_frozen`` re-runs the net with the gates pinned to it, which makes
+the whole map affine (the basis of the contraction diagnostics).
 """
 
 from __future__ import annotations
@@ -67,22 +67,6 @@ class ProximalConfig:
             if self.activation != "swish":
                 raise ConfigError("chain arch gates only the final layer, with swish")
 
-    @property
-    def signature(self) -> str:
-        if self.arch == "resnet":
-            return (f"resnet/b{self.num_res_blocks}/f{self.feature_maps}"
-                    f"/{self.activation}/{self.normalization}")
-        return f"chain/l{self.chain_layers}/k{self.chain_kernel}/f{self.feature_maps}"
-
-
-@dataclass
-class MaskSnapshot:
-    """Activation masks D(z) per gated layer, for one specific input."""
-
-    layer_ids: Tuple[str, ...]
-    masks: Tuple[np.ndarray, ...]
-    signature: str
-
 
 class ProximalNet:
     def __init__(self, config: ProximalConfig, params: Dict[str, Variable]):
@@ -101,12 +85,14 @@ class ProximalNet:
         return ag.instance_norm(u, self.params[f"{name}.gamma"],
                                 self.params[f"{name}.beta"], tape=tape)
 
-    def _gate(self, layer_id: str, z: Variable, tape, frozen: Optional[MaskSnapshot],
+    def _gate(self, layer_id: str, z: Variable, tape, frozen: Optional[Dict[str, np.ndarray]],
               captured: Optional[Dict[str, np.ndarray]]) -> Variable:
         """sigma(z) = D(z) * z with D pinned by ``frozen``, else swish or relu,
         recording D(z) into ``captured``."""
         if frozen is not None:
-            d = frozen.masks[frozen.layer_ids.index(layer_id)]
+            d = frozen.get(layer_id)
+            if d is None:
+                raise ContractError(f"snapshot has no mask for gate {layer_id}")
             if d.shape != z.value.shape:
                 raise ContractError(
                     f"mask for {layer_id} has shape {d.shape}, pre-activation {z.value.shape}")
@@ -118,7 +104,7 @@ class ProximalNet:
         return ag.swish(z, tape) if swish else ag.relu(z, tape)
 
     def _walk(self, x: Variable, tape: Optional[Tape] = None,
-              frozen: Optional[MaskSnapshot] = None,
+              frozen: Optional[Dict[str, np.ndarray]] = None,
               captured: Optional[Dict[str, np.ndarray]] = None) -> Variable:
         cfg = self.config
         if x.value.ndim != 3 or x.value.shape[0] != 2:
@@ -149,19 +135,39 @@ class ProximalNet:
         order the gates ran."""
         captured: Dict[str, np.ndarray] = {}
         out = self._walk(Variable(x), captured=captured)
-        return out.value, MaskSnapshot(tuple(captured), tuple(captured.values()),
-                                       self.config.signature)
+        return out.value, MaskSnapshot(self, captured)
 
     def forward_frozen(self, x: np.ndarray, snapshot: MaskSnapshot) -> np.ndarray:
-        """The affine map with every gate pinned to the snapshot; the one check
-        of the frozen-map contract (with each mask's shape in ``_gate``)."""
+        """The affine map with every gate pinned to the snapshot, evaluated
+        with this net's weights; the one check of the frozen-map contract
+        (with each gate's mask, present and of the right shape, in ``_gate``)."""
         if self.config.normalization != "none":
             raise UnsupportedConfigError(
                 "frozen-mask evaluation requires normalization=none")
-        if snapshot.signature != self.config.signature:
-            raise ContractError(f"snapshot from {snapshot.signature!r} "
-                                f"cannot drive {self.config.signature!r}")
-        return self._walk(Variable(x), frozen=snapshot).value
+        if snapshot.net.config != self.config:
+            raise ContractError(f"snapshot from {snapshot.net.config} cannot drive {self.config}")
+        return self._walk(Variable(x), frozen=snapshot.masks).value
+
+
+class MaskSnapshot:
+    """The proximal with every gate pinned to the masks D(z) of one input:
+    the affine map M. ``masks`` maps each gate id to its mask, in the order
+    the gates ran. Calling the snapshot evaluates M; ``linear`` applies its
+    linear part M(v) - M(0) (differences kill the bias), with the constant
+    M(0) cached after the first use."""
+
+    def __init__(self, net: ProximalNet, masks: Dict[str, np.ndarray]):
+        self.net = net
+        self.masks = masks
+        self._at_zero: Optional[np.ndarray] = None
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.net.forward_frozen(u, self)
+
+    def linear(self, v: np.ndarray) -> np.ndarray:
+        if self._at_zero is None:
+            self._at_zero = self(np.zeros(v.shape, np.float32))
+        return self(v) - self._at_zero
 
 
 def param_shapes(config: ProximalConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:

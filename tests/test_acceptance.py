@@ -424,7 +424,7 @@ def test_criterion_7_debias(sr_bundle):
     for x_true, y in zip(test_set, ys):
         x_t = unrolled_forward(net, op, y, 10, alpha)[0][-1].value
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
-        res = debias(net, masks, op, alpha, y, x_t)
+        res = debias(masks, op, alpha, y, x_t)
         assert res.converged or res.diverged or res.iterations >= 200
         if res.converged:
             n_converged += 1

@@ -915,7 +915,7 @@ def test_analyze_writes_traces_and_debias(tmp_path):
         y = op.apply(x_true)
         x_t = unrolled_forward(net, op, y, 3, alpha)[0][-1].value
         masks = capture_masks(net, gradient_step(x_t, y, alpha, op))
-        res = debias(net, masks, op, alpha, y, x_t)
+        res = debias(masks, op, alpha, y, x_t)
         assert lines[1 + i] == (
             f"{i},{int(res.converged)},{int(res.diverged)},{res.iterations},"
             f"{norm(y - op.apply(x_t)):.9g},{norm(y - op.apply(res.x)):.9g}")

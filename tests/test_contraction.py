@@ -3,8 +3,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from npgd.contraction import (ContractionTrace, FrozenAffineMap, analyze_trajectory,
-                              bound_slack, contraction_step, debias)
+from npgd.contraction import (ContractionTrace, analyze_trajectory, bound_slack,
+                              contraction_step, debias)
 from npgd.core import ifft2, norm
 from npgd.errors import ContractError, UnsupportedConfigError
 from npgd.operators import BoxDownsampleOperator, MaskedFourierOperator, gradient_step
@@ -37,8 +37,7 @@ def _step(net, op, alpha, x_star, x_t, masks_star=None, masks_t=None):
         masks_star = capture_masks(net, x_star)
     if masks_t is None:
         masks_t = capture_masks(net, s_next)
-    return contraction_step(1, FrozenAffineMap(net, masks_star),
-                            FrozenAffineMap(net, masks_t), net.forward(x_star).value - x_star,
+    return contraction_step(1, masks_star, masks_t, net.forward(x_star).value - x_star,
                             op, alpha, x_star, x_t, x_next)
 
 
@@ -51,7 +50,7 @@ def test_frozen_apply_matches_forward_at_capture_point():
                 build(ProximalConfig(feature_maps=4, normalization="none"), seed=2)):
         x = _rand2(16, 16, 3)
         out, snap = net.forward_and_masks(x)
-        assert np.array_equal(FrozenAffineMap(net, snap)(x), out)
+        assert np.array_equal(snap(x), out)
 
 
 def test_frozen_rejects_normalization():
@@ -60,7 +59,7 @@ def test_frozen_rejects_normalization():
     x = _rand2(8, 8, 5)
     snap = capture_masks(net, x)
     with pytest.raises(UnsupportedConfigError):
-        FrozenAffineMap(net, snap)(x)
+        snap(x)
 
 
 def test_all_ones_mask_is_pure_conv_composition():
@@ -68,22 +67,20 @@ def test_all_ones_mask_is_pure_conv_composition():
     for name in net.params:
         if name.endswith(".bias"):
             net.params[name].value[:] = 0.0
-    snap = MaskSnapshot(("out.act",), (np.ones((2, 8, 8), np.float32),),
-                        net.config.signature)
+    snap = MaskSnapshot(net, {"out.act": np.ones((2, 8, 8), np.float32)})
     u = _rand2(8, 8, 7)
     from npgd import autograd as ag
     from npgd.autograd import Variable
     expected = ag.conv2d(ag.conv2d(Variable(u), net.params["layer1.kernel"],
                                    net.params["layer1.bias"]),
                          net.params["layer2.kernel"], net.params["layer2.bias"]).value
-    assert np.array_equal(FrozenAffineMap(net, snap)(u), expected)
+    assert np.array_equal(snap(u), expected)
 
 
 def test_frozen_linear_part_is_linear():
     net = _chain_net(seed=8)
     base = _rand2(16, 16, 9)
-    snap = capture_masks(net, base)
-    frozen = FrozenAffineMap(net, snap)
+    frozen = capture_masks(net, base)
     rng = np.random.default_rng(10)
     for trial in range(5):
         u = rng.standard_normal((2, 16, 16)).astype(np.float32)
@@ -140,7 +137,7 @@ def test_eta_zero_delta_row():
     other = capture_masks(net, random_complex_image(16, 16, seed=17))
     row = _step(net, op, 0.5, x_star, x_star, masks_t=other)
     assert (row.eta1, row.eta2) == (0.0, 0.0)
-    expected = norm(net.forward(x_star).value - FrozenAffineMap(net, other)(x_star))
+    expected = norm(net.forward(x_star).value - other(x_star))
     assert row.decomp_residual == pytest.approx(expected, rel=1e-5)
 
 
@@ -160,10 +157,8 @@ def test_eta2_single_layer_matrix_oracle():
     net.params["layer1.bias"].value[:] = 0.0
     w = net.params["layer1.kernel"].value[:, :, 0, 0]  # (2, 2) pixelwise matrix
     h = 8
-    ones = MaskSnapshot(("out.act",), (np.ones((2, h, h), np.float32),),
-                        net.config.signature)
-    zeros = MaskSnapshot(("out.act",), (np.zeros((2, h, h), np.float32),),
-                         net.config.signature)
+    ones = MaskSnapshot(net, {"out.act": np.ones((2, h, h), np.float32)})
+    zeros = MaskSnapshot(net, {"out.act": np.zeros((2, h, h), np.float32)})
     op = MaskedFourierOperator(empty_mask(h, h))  # (I - a N) = I
     x_star = random_complex_image(h, h, seed=21)
     delta = random_complex_image(h, h, seed=22)
@@ -349,7 +344,7 @@ def test_debias_identity_full_mask_lands_on_inverse():
     y = op.apply(x_star)
     x_t = nonzero_complex_image(16, 16, seed=47)
     masks = capture_masks(net, x_t)
-    res = debias(net, masks, op, 1.0, y, x_t, max_iters=10)
+    res = debias(masks, op, 1.0, y, x_t, max_iters=10)
     assert res.converged
     assert norm(res.x - ifft2(y)) <= 1e-4 * norm(x_star)
 
@@ -360,7 +355,7 @@ def test_debias_fixed_point_returns_input():
     x_star = nonzero_complex_image(16, 16, seed=48)
     y = op.apply(x_star)
     masks = capture_masks(net, x_star)
-    res = debias(net, masks, op, 1.0, y, x_star, max_iters=10)
+    res = debias(masks, op, 1.0, y, x_star, max_iters=10)
     assert res.converged
     assert norm(res.x - x_star) <= 1e-4 * norm(x_star)
 
@@ -373,7 +368,7 @@ def test_debias_divergence_flagged_and_input_returned():
     x_t = random_complex_image(16, 16, seed=50)
     y = op.apply(x_t)
     masks = capture_masks(net, x_t)
-    res = debias(net, masks, op, 0.5, y, x_t, max_iters=500)
+    res = debias(masks, op, 0.5, y, x_t, max_iters=500)
     assert res.diverged and not res.converged
     assert np.array_equal(res.x, x_t)
 
@@ -417,8 +412,9 @@ def test_analyze_returns_final_iterate_and_its_masks():
     x_final = unrolled_forward(net, op, y, 3, 0.5)[0][-1].value
     masks = capture_masks(net, gradient_step(x_final, y, 0.5, op))
     assert np.array_equal(tr.x_final, x_final)
-    for got, want in zip(tr.masks_final.masks, masks.masks):
-        assert np.array_equal(got, want)
+    assert list(tr.masks_final.masks) == list(masks.masks)
+    for gate, want in masks.masks.items():
+        assert np.array_equal(tr.masks_final.masks[gate], want)
 
 
 def _separate_forwards_analyze(net, alpha, op, x_star, y, iterations):
@@ -427,15 +423,15 @@ def _separate_forwards_analyze(net, alpha, op, x_star, y, iterations):
     a separate extra forward past x_T. Every state is gradient_step of the
     previous iterate."""
     xs = [x.value for x in unrolled_forward(net, op, y, iterations, alpha)[0]]
-    m_star = FrozenAffineMap(net, capture_masks(net, x_star))
+    m_star = capture_masks(net, x_star)
     xi = net.forward(x_star).value - x_star
     s_states = [gradient_step(x, y, alpha, op) for x in xs]
     xs.append(net.forward(s_states[-1]).value)
     rows = []
     for t in range(1, iterations + 1):
         masks_t = capture_masks(net, s_states[t - 1])
-        rows.append(contraction_step(t, m_star, FrozenAffineMap(net, masks_t), xi,
-                                     op, alpha, x_star, xs[t - 1], xs[t]))
+        rows.append(contraction_step(t, m_star, masks_t, xi, op, alpha, x_star,
+                                     xs[t - 1], xs[t]))
     return rows, xs[-2], masks_t
 
 
@@ -453,9 +449,9 @@ def test_analyze_matches_separate_forwards_bit_for_bit():
                                                                     x_star, y, 4)
             assert [repr(astuple(r)) for r in tr.rows] == [repr(astuple(r)) for r in rows]
             assert tr.x_final.tobytes() == x_final.tobytes()
-            assert tr.masks_final.layer_ids == masks_final.layer_ids
-            for got, want in zip(tr.masks_final.masks, masks_final.masks, strict=True):
-                assert got.tobytes() == want.tobytes()
+            assert list(tr.masks_final.masks) == list(masks_final.masks)
+            for gate, want in masks_final.masks.items():
+                assert tr.masks_final.masks[gate].tobytes() == want.tobytes()
 
 
 def test_analyze_rejects_normalized_net():

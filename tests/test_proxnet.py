@@ -2,6 +2,7 @@ import math
 import os
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,8 +168,8 @@ def test_capture_masks_all_positive_preactivations():
         else:
             var.value[:] = 1.0  # positive biases drive every gate
     snap = capture_masks(net, np.zeros((2, 8, 8), np.float32))
-    assert snap.layer_ids == ("rb1.act1", "rb1.act2", "tail.act1", "tail.act2")
-    for mask in snap.masks:
+    assert list(snap.masks) == ["rb1.act1", "rb1.act2", "tail.act1", "tail.act2"]
+    for mask in snap.masks.values():
         assert np.all(mask == 1.0)
 
 
@@ -177,34 +178,57 @@ def test_capture_masks_identical_inputs_identical_snapshots():
     x = np.random.default_rng(15).standard_normal((2, 16, 16)).astype(np.float32)
     a = capture_masks(net, x)
     b = capture_masks(net, x.copy())
-    for ma, mb in zip(a.masks, b.masks):
-        assert np.array_equal(ma, mb)
+    assert list(a.masks) == list(b.masks)
+    for gate, ma in a.masks.items():
+        assert np.array_equal(ma, b.masks[gate])
 
 
 def test_chain_snapshot_has_single_gate():
     net = build(_chain_cfg(), seed=16)
     snap = capture_masks(net, np.zeros((2, 8, 8), np.float32))
-    assert snap.layer_ids == ("out.act",)
-    assert len(snap.masks) == 1
+    assert list(snap.masks) == ["out.act"]
 
 
 def test_relu_masks_are_binary_swish_masks_open_interval():
     rnet = build(ProximalConfig(feature_maps=4, normalization="none",
                                 activation="relu"), seed=17)
     x = np.random.default_rng(18).standard_normal((2, 8, 8)).astype(np.float32)
-    for mask in capture_masks(rnet, x).masks:
+    for mask in capture_masks(rnet, x).masks.values():
         assert set(np.unique(mask)) <= {0.0, 1.0}
     cnet = build(_chain_cfg(), seed=19)
-    for mask in capture_masks(cnet, x).masks:
+    for mask in capture_masks(cnet, x).masks.values():
         assert np.all((mask > 0.0) & (mask < 1.0))
 
 
 def test_forward_frozen_signature_mismatch():
-    net_a = build(_chain_cfg(), seed=20)
-    net_b = build(_chain_cfg(layers=2), seed=20)
-    snap = capture_masks(net_a, np.zeros((2, 8, 8), np.float32))
-    with pytest.raises(ContractError):
-        net_b.forward_frozen(np.zeros((2, 8, 8), np.float32), snap)
+    # the snapshot's net config must equal this net's field for field, even
+    # one the chain arch never reads
+    snap = capture_masks(build(_chain_cfg(), seed=20), np.zeros((2, 8, 8), np.float32))
+    for cfg in (_chain_cfg(layers=2), replace(_chain_cfg(), num_res_blocks=2)):
+        with pytest.raises(ContractError):
+            build(cfg, seed=20).forward_frozen(np.zeros((2, 8, 8), np.float32), snap)
+
+
+def test_forward_frozen_missing_gate_names_it():
+    net = build(_chain_cfg(), seed=21)
+    snap = MaskSnapshot(net, {"other.act": np.ones((2, 8, 8), np.float32)})
+    with pytest.raises(ContractError, match="out.act"):
+        net.forward_frozen(np.zeros((2, 8, 8), np.float32), snap)
+
+
+def test_snapshot_drives_another_net_with_that_nets_weights():
+    # a snapshot taken on net A pins B's gate to A's masks, and B evaluates
+    # with its own convs: the snapshot's net is never run
+    net_a, net_b = (build(_chain_cfg(layers=2), seed=seed, zero_init_output=False)
+                    for seed in (22, 23))
+    x = np.random.default_rng(24).standard_normal((2, 8, 8)).astype(np.float32)
+    snap_a = capture_masks(net_a, x)
+    z = Variable(x)
+    for i in (1, 2):
+        z = ag.conv2d(z, net_b.params[f"layer{i}.kernel"], net_b.params[f"layer{i}.bias"])
+    expected = snap_a.masks["out.act"] * z.value
+    assert np.array_equal(net_b.forward_frozen(x, snap_a), expected)
+    assert not np.array_equal(net_a.forward_frozen(x, snap_a), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ conv's input or that input's ``rebuild``, a norm's xhat, a swish's slope,
 one bit per relu mask), and ``backward`` consumes it. A taped norm, gate or
 add sets ``rebuild`` on its output only: it returns a fresh array bit-equal
 to the value from forward-time arrays that some record keeps. A conv sets
-one only when its record keeps its input's value anyway (the input has no
-rebuild) and each output value costs at most ``REBUILD_MACS`` multiply-adds,
-so no rebuild recomputes a conv from another conv's rebuild.
+one when each output value costs at most ``REBUILD_MACS`` multiply-adds,
+from its kept input value or from its input's rebuild. Such a cheap conv's
+kernel VJP and rebuild share one read of a rebuilt input per backward: the
+input's ``Grad`` memoizes it until the record that made the input pops.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .errors import ContractError, ParameterError, ShapeError
 class Grad:
     """A Variable's gradient slot: what a tape record holds in its place."""
 
-    __slots__ = ("grad",)
+    __slots__ = ("grad", "memo")
 
     def __init__(self):
         self.grad: Optional[np.ndarray] = None
+        self.memo: Optional[np.ndarray] = None  # the variable's rebuild, read by cheap convs
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -106,7 +108,8 @@ def backward(tape: Tape, root: Variable) -> None:
     root.node.accumulate(np.ones_like(root.value))
     while records:
         out, pulls = records.pop()
-        g, out.grad = out.grad, None
+        # every reader of out's memo was recorded after this record and has popped
+        g, out.grad, out.memo = out.grad, None, None
         if g is None:
             continue
         for node, vjp in pulls:
@@ -318,6 +321,16 @@ def _col2im(cols: np.ndarray, c: int, h: int, w: int, k: int) -> np.ndarray:
     return taps.sum(axis=1)[:, p:p + h, p:p + w]
 
 
+def _memoized(node: Grad, rebuild: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """``rebuild`` called at most once until ``backward`` clears ``node.memo``.
+    Only conv kernel VJPs and rebuilds read the memo, and neither writes it."""
+    def read():
+        if node.memo is None:
+            node.memo = rebuild()
+        return node.memo
+    return read
+
+
 def conv2d(x: Variable, kernel: Variable, bias: Variable,
            tape: Optional[Tape] = None) -> Variable:
     """Stride-1 "same" 2-D cross-correlation with per-channel bias.
@@ -346,10 +359,15 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     if tape is not None:
         # the tape keeps the input or its rebuild, not the k*k times larger column
         # matrix; only the kernel VJP needs the columns, and it makes them
-        src = x.rebuild or (lambda: v)  # never set on x: a leaf's value may change
-        if x.rebuild is None and c_in * k * k <= REBUILD_MACS:
-            # one GEMM from the v this record keeps anyway, so no rebuild chains convs
-            out.rebuild = lambda: np.add(_conv_same(w2, v, k), b)
+        cheap = c_in * k * k <= REBUILD_MACS
+        if x.rebuild is None:
+            src = lambda: v  # never set on x: a leaf's value may change
+        elif cheap:  # read by this kernel VJP and by the rebuild below
+            src = _memoized(x.node, x.rebuild)
+        else:  # the rebuilt value dies inside _im2col
+            src = x.rebuild
+        if cheap:
+            out.rebuild = lambda: np.add(_conv_same(w2, src(), k), b)
         def vjp_x(g):
             if k == 1:
                 return (w2.T @ g.reshape(c_out, -1)).reshape(c_in, h, w)

@@ -138,9 +138,10 @@ def gradient_step_channels(x_var: Variable, alpha: Union[float, Variable],
     return out
 
 
-def data_residual_sq(x_var: Variable, residual_norm: float, direction: np.ndarray,
+def data_residual_sq(x_var: Variable, residual_norm: float, direction: Optional[np.ndarray],
                      tape: Optional[Tape] = None) -> Variable:
-    """Differentiable ||y - apply(x)||^2 from the ||r|| and direction of ``op.residual(x, y)``."""
+    """Differentiable ||y - apply(x)||^2 from the ||r|| and direction of
+    ``op.residual(x, y)``; only a taped call reads the direction."""
     out = Variable(np.float32(residual_norm ** 2))
     if tape is not None:
         tape.record(out, [(x_var, lambda g: np.float32(-2) * direction * g)])

@@ -71,7 +71,8 @@ def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
     the iterates x_1..x_T and, per iterate, (||r_t||, adjoint(r_t)) of its
     data residual r_t = y - apply(x_t), formed once for the next step, the
     training cost and :func:`reconstruct`. With a tape, the trajectory is
-    differentiable through the shared weights and alpha."""
+    differentiable through the shared weights and alpha; without one, only
+    the next step reads a direction, so each norm is paired with None."""
     x_var = Variable(np.zeros((2,) + tuple(op.in_shape), np.float32))
     direction = op.direction(x_var.value, y)
     iterates, residuals = [], []
@@ -79,12 +80,13 @@ def unrolled_forward(net: ProximalNet, op: LinearOperator, y: np.ndarray,
         x_var = net.forward(gradient_step_channels(x_var, alpha, op, direction, tape), tape)
         r, direction = op.residual(x_var.value, y)
         iterates.append(x_var)
-        residuals.append((norm(r), direction))
+        residuals.append((norm(r), None if tape is None else direction))
         del r  # only its norm is kept
     return iterates, residuals
 
 
-def loss_p1(iterates: Sequence[Variable], residuals: Sequence[Tuple[float, np.ndarray]],
+def loss_p1(iterates: Sequence[Variable],
+            residuals: Sequence[Tuple[float, Optional[np.ndarray]]],
             x_true: np.ndarray, beta: float, loss_kind: str = "l2",
             tape: Optional[Tape] = None) -> Tuple[Variable, float, float]:
     """Composite training cost over :func:`unrolled_forward`'s iterates and

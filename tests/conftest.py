@@ -6,15 +6,23 @@ blocks are zeroed (skip-path only), the relu tail passes the nonnegative
 split parts through unchanged, and the last 1x1 conv recombines them.
 
 ``interrupt_write`` stands in for Ctrl-C in the middle of writing a file.
+
+Every hypothesis test runs derandomized, with no deadline and no example
+database, so tier-1 draws the same examples on every run; each test sets
+its own ``max_examples``.
 """
 
 import builtins
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from npgd.proxnet import ProximalConfig, build
 from npgd.sampling import SamplingMask
+
+settings.register_profile("npgd", derandomize=True, deadline=None, database=None)
+settings.load_profile("npgd")
 
 
 def make_identity_resnet(feature_maps=4, num_res_blocks=1):

@@ -251,7 +251,7 @@ def _mutated_config(data) -> str:
     return "\n".join(lines)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@settings(max_examples=400)
 @given(st.data())
 def test_mutated_config_parses_or_raises_npgd_error(data):
     text = _mutated_config(data)
@@ -372,7 +372,7 @@ def _fuzzed_pgm(data) -> bytes:
     return bytes(blob)
 
 
-@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@settings(max_examples=1000)
 @given(st.data())
 def test_fuzzed_pgm_reads_finite_float32_or_raises_npgd_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
@@ -1134,7 +1134,7 @@ def _mutated(data, blob, fields, crc):
 _TINY_BLOB = _tiny_checkpoint_blob()
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@settings(max_examples=1500)
 @given(st.data())
 def test_fuzzed_checkpoint_restores_or_raises_npgd_error(tmp_path_factory, data):
     from npgd import checkpoint
@@ -1154,7 +1154,7 @@ def genmask_bits(tmp_path_factory):
     return (out / "mask.bits").read_bytes()
 
 
-@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@settings(max_examples=800)
 @given(st.data())
 def test_fuzzed_bitmask_loads_or_raises_npgd_error(tmp_path_factory, genmask_bits, data):
     from npgd.sampling import load_mask_bits

@@ -325,7 +325,7 @@ def _operator_case(draw):
     return op, x, y
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_operator_case())
 def test_residual_and_direction_are_bit_equal_to_apply_then_adjoint(case):
     op, x, y = case
@@ -337,7 +337,7 @@ def test_residual_and_direction_are_bit_equal_to_apply_then_adjoint(case):
     assert op.direction(x, y).tobytes() == back.tobytes()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_operator_case())
 def test_apply_and_adjoint_are_adjoint(case):
     op, x, y = case

@@ -203,6 +203,20 @@ def test_reconstruct_residuals_are_the_plain_formula(op):
     assert residuals == [norm(y - op.apply(x.value)) for x in iterates]
 
 
+def test_untaped_trajectory_holds_no_direction():
+    # only a taped data_residual_sq reads adjoint(r_t); reconstruct keeps the
+    # norms alone, and the taped trajectory's directions are op.direction's
+    net = build(ProximalConfig(feature_maps=4), seed=50, zero_init_output=False)
+    op = _op(seed=51)
+    y = op.apply(random_complex_image(16, 16, seed=52))
+    untaped = unrolled_forward(net, op, y, 3, 1.0)
+    taped = unrolled_forward(net, op, y, 3, 1.0, Tape())
+    assert [d for _, d in untaped[1]] == [None] * 3
+    assert [n for n, _ in untaped[1]] == [n for n, _ in taped[1]]
+    for x, (_, d) in zip(taped[0], taped[1]):
+        assert d.tobytes() == op.direction(x.value, y).tobytes()
+
+
 def _count_ffts(monkeypatch):
     calls = []
     for name in ("fft2", "ifft2"):
